@@ -69,7 +69,7 @@ from .core.reliability import exact_error_bounds
 from .core.spec import FunctionSpec
 from .flows.experiment import apply_policy, relative_metrics, run_flow
 from .flows.report import format_table
-from .pla import read_pla, write_pla
+from .pla import PlaError, read_pla, write_pla
 
 __all__ = ["main"]
 
@@ -1068,6 +1068,10 @@ def main(argv: list[str] | None = None) -> int:
             status = args.func(args)
             session.exit_status = status
         return status
+    except PlaError as exc:
+        where = f"{exc.path}: " if exc.path else ""
+        print(f"repro: {where}{exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:  # e.g. piped into `head`
         try:
             sys.stdout.close()

@@ -34,9 +34,7 @@ from .reliability import (
     exact_error_bounds,
     max_dc_error_count,
     min_dc_error_count,
-    multibit_error_rate,
     spec_error_rate,
-    weighted_error_rate,
 )
 from .spec import FunctionSpec
 from .truthtable import DC, OFF, ON
@@ -73,8 +71,6 @@ __all__ = [
     "exact_error_bounds",
     "max_dc_error_count",
     "min_dc_error_count",
-    "multibit_error_rate",
-    "weighted_error_rate",
     "spec_error_rate",
     "FunctionSpec",
     "DC",

@@ -900,13 +900,19 @@ class WarmPool:
 # --------------------------------------------------------------- module state
 
 _pool: WarmPool | None = None
-_ENABLED = os.environ.get("REPRO_POOL_DISABLE", "") != "1"
+_ENABLED: bool | None = None  # None: follow REPRO_POOL_DISABLE
 _START_OVERRIDE: str | None = None
 
 
 def pool_enabled() -> bool:
-    """False when the warm pool is disabled (env or :func:`configure_pool`)."""
-    return _ENABLED
+    """False when the warm pool is disabled (env or :func:`configure_pool`).
+
+    ``REPRO_POOL_DISABLE=1`` is read on every call, as the ledger's
+    switch is, unless :func:`configure_pool` set an explicit value.
+    """
+    if _ENABLED is not None:
+        return _ENABLED
+    return os.environ.get("REPRO_POOL_DISABLE", "") != "1"
 
 
 def configure_pool(
@@ -966,7 +972,7 @@ def executor_config(jobs: int | str | None = None) -> dict[str, Any]:
     """
     live = _pool is not None and not _pool.closed
     return {
-        "enabled": _ENABLED,
+        "enabled": pool_enabled(),
         "start_method": _pool.start_method if live else _default_start_method(),
         "cpus": available_cpus(),
         "workers": _pool.size if live else None,

@@ -33,7 +33,12 @@ _OUTPUT_CODES = {"0": "0", "1": "1", "-": "-", "2": "-", "~": "~", "4": "1", "3"
 
 
 class PlaError(ValueError):
-    """Raised on malformed PLA text or inconsistent cube planes."""
+    """Raised on malformed PLA text or inconsistent cube planes.
+
+    :func:`read_pla` sets :attr:`path` to the offending file.
+    """
+
+    path: str | None = None
 
 
 def _cube_minterms(cube: list[int], num_inputs: int) -> np.ndarray:
@@ -171,4 +176,8 @@ def read_pla(path: str | os.PathLike) -> FunctionSpec:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    return parse_pla(text, name=stem)
+    try:
+        return parse_pla(text, name=stem)
+    except PlaError as exc:
+        exc.path = os.fspath(path)
+        raise

@@ -40,11 +40,6 @@ class CnfBuilder:
         """Forward to the underlying solver."""
         self.solver.add_clause(literals)
 
-    def constrain_constant(self, name: str, value: bool) -> None:
-        """Force a signal to a constant."""
-        variable = self.var(name)
-        self.add_clause([variable if value else -variable])
-
     def encode_sop(self, output: str, fanins: list[str], cover: Cover) -> None:
         """Tseitin-encode ``output = cover(fanins)``.
 

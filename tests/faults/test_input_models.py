@@ -48,11 +48,15 @@ class TestExactReductions:
         assert SingleBitInput().error_rate(spec) == error_rate(spec)
 
     def test_parity_multibit(self):
-        """Parity flips on every odd-weight error and never on even."""
+        """Parity flips on every odd-weight error and never on even; a
+        constant function never flips at all."""
         spec = parity4()
         assert MultiBitInput(1).error_rate(spec) == pytest.approx(1.0)
         assert MultiBitInput(2).error_rate(spec) == pytest.approx(0.0)
         assert MultiBitInput(3).error_rate(spec) == pytest.approx(1.0)
+        constant = FunctionSpec.from_truth_table(np.ones((1, 32)))
+        for k in (1, 2, 3):
+            assert MultiBitInput(k).error_rate(constant) == 0.0
 
     def test_parity_burst(self):
         """A width-2 burst is an even-weight error: parity never flips."""
@@ -88,7 +92,7 @@ class TestPatterns:
         with pytest.raises(ValueError, match="positive"):
             BurstInput(0)
         spec = completed(1, n=4)
-        with pytest.raises(ValueError, match="distance"):
+        with pytest.raises(ValueError, match=r"distance must lie in \[1, 4\]"):
             MultiBitInput(5).error_rate(spec)
         with pytest.raises(ValueError, match="burst width"):
             BurstInput(5).error_rate(spec)

@@ -38,6 +38,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["info", "does-not-exist"])
 
+    def test_malformed_pla_is_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pla"
+        bad.write_text(".i 2\n.o 1\n1x 1\n.e\n")
+        assert main(["info", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro: {bad}: bad input character in '1x'\n"
+        )
+
     def test_assign_writes_pla(self, pla_file, tmp_path, capsys):
         out_path = str(tmp_path / "assigned.pla")
         assert main([
