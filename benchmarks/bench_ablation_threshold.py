@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.benchgen import mcnc_benchmark
-from repro.flows import format_table, relative_metrics, run_flow, threshold_sweep
+from repro.flows import format_table, relative_metrics, run_points
 
 from conftest import emit, full_mode
 
@@ -27,8 +27,11 @@ def _sweep():
     data = {}
     for name in _subjects():
         spec = mcnc_benchmark(name)
-        baseline = run_flow(spec, "conventional", objective="area")
-        results = threshold_sweep(spec, THRESHOLDS, objective="area")
+        baseline, *results = run_points(
+            [(spec, {"policy": "conventional"})]
+            + [(spec, {"policy": "cfactor", "threshold": t}) for t in THRESHOLDS],
+            objective="area",
+        )
         data[name] = [
             (r.fraction_assigned, relative_metrics(r, baseline)) for r in results
         ]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.benchgen import mcnc_benchmark
-from repro.flows import format_table, run_flow
+from repro.flows import format_table, fraction_baselines, fraction_sweep
 
 from conftest import emit, fractions, roster
 
@@ -20,20 +20,12 @@ def _sweep():
     rows = {}
     for name in roster():
         spec = mcnc_benchmark(name)
-        baseline = run_flow(spec, "ranking", fraction=0.0, objective="power")
-        series = []
-        for fraction in grid:
-            result = (
-                baseline
-                if fraction == 0.0
-                else run_flow(spec, "ranking", fraction=fraction, objective="power")
-            )
-            series.append(
-                result.error_rate / baseline.error_rate
-                if baseline.error_rate
-                else 1.0
-            )
-        rows[name] = series
+        results = fraction_sweep(spec, grid, objective="power")
+        [baseline] = fraction_baselines([spec], grid, [results], objective="power")
+        rows[name] = [
+            result.error_rate / baseline.error_rate if baseline.error_rate else 1.0
+            for result in results
+        ]
     return grid, rows
 
 

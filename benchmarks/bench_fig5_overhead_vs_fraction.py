@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.benchgen import mcnc_benchmark
-from repro.flows import format_table, run_flow
+from repro.flows import format_table, fraction_baselines, fraction_sweep
 
 from conftest import emit, fractions, roster
 
@@ -23,13 +23,11 @@ def _sweep():
         per_fraction = {m: [[] for _ in grid] for m in ("area", "delay", "power")}
         for name in roster():
             spec = mcnc_benchmark(name)
-            baseline = run_flow(spec, "ranking", fraction=0.0, objective=objective)
-            for index, fraction in enumerate(grid):
-                result = (
-                    baseline
-                    if fraction == 0.0
-                    else run_flow(spec, "ranking", fraction=fraction, objective=objective)
-                )
+            results = fraction_sweep(spec, grid, objective=objective)
+            [baseline] = fraction_baselines(
+                [spec], grid, [results], objective=objective
+            )
+            for index, result in enumerate(results):
                 for metric in per_fraction:
                     reference = getattr(baseline, metric)
                     value = getattr(result, metric)

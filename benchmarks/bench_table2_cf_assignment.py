@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from repro.benchgen import mcnc_benchmark
-from repro.flows import format_table, table2_row
+from repro.flows import format_table, table2_rows
 
 from conftest import emit, roster
 
 
 def _build():
-    return [table2_row(mcnc_benchmark(name)) for name in roster()]
+    return table2_rows([mcnc_benchmark(name) for name in roster()])
 
 
 def test_table2(benchmark):

@@ -84,6 +84,17 @@ def _resolve_jobs_arg(value: str, points: int | None = None) -> int:
         raise SystemExit(f"--jobs: {error}") from None
 
 
+def _sweep_points(value: str) -> int:
+    """``--points``: a sweep needs both ends of the fraction grid."""
+    try:
+        points = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {points}")
+    return points
+
+
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", default="1", metavar="N|auto",
@@ -231,7 +242,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .flows.sweep import fraction_sweep
+    from .flows.sweep import fraction_baselines, fraction_sweep
     from .perf import cache_stats
 
     spec = _load_spec(args.benchmark)
@@ -249,8 +260,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     if session is not None:
         session.record_quality(results)
-    baseline = results[0] if fractions and fractions[0] == 0.0 else run_flow(
-        spec, "ranking", fraction=0.0, objective=args.objective
+    [baseline] = fraction_baselines(
+        [spec], fractions, [results], objective=args.objective
     )
     rows = []
     for fraction, result in zip(fractions, results):
@@ -371,27 +382,30 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
     from .pipeline import CheckpointStore, Pipeline, default_config, load_config
 
     spec = _load_spec(args.benchmark)
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = default_config(
-            args.policy,
-            fraction=args.fraction,
-            threshold=args.threshold,
-            objective=args.objective,
-        )
-    if getattr(args, "complete_dc", False):
-        config = _with_complete_dc_stage(config)
-    dc_jobs = _resolve_jobs_arg(getattr(args, "dc_jobs", "1"))
-    if dc_jobs != 1:
-        config = {
-            **config,
-            "params": {**config.get("params", {}), "dc_jobs": dc_jobs},
-        }
     checkpoint = (
         CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
     )
-    pipe = Pipeline.from_config(config, checkpoint=checkpoint)
+    try:
+        if args.config:
+            config = load_config(args.config)
+        else:
+            config = default_config(
+                args.policy,
+                fraction=args.fraction,
+                threshold=args.threshold,
+                objective=args.objective,
+            )
+        if getattr(args, "complete_dc", False):
+            config = _with_complete_dc_stage(config)
+        dc_jobs = _resolve_jobs_arg(getattr(args, "dc_jobs", "1"))
+        if dc_jobs != 1:
+            config = {
+                **config,
+                "params": {**config.get("params", {}), "dc_jobs": dc_jobs},
+            }
+        pipe = Pipeline.from_config(config, checkpoint=checkpoint)
+    except (ValueError, KeyError) as error:
+        raise SystemExit(f"pipeline: {error.args[0]}") from None
     ran_before = obs_metrics.counter("pipeline.stages_run").value
     skipped_before = obs_metrics.counter("pipeline.stages_skipped").value
     ctx = pipe.run(spec=spec, stop_after=args.stop_after)
@@ -854,7 +868,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("benchmark")
     p_sweep.add_argument("--objective", default="power",
                          choices=["delay", "power", "area"])
-    p_sweep.add_argument("--points", type=int, default=5)
+    p_sweep.add_argument("--points", type=_sweep_points, default=5,
+                         help="fractions 0..1 to sweep (at least 2)")
     _add_jobs_arg(p_sweep)
     p_sweep.add_argument("--cache-stats", action="store_true",
                          help="print minimization-cache hit/miss counters")

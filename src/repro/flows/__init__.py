@@ -1,8 +1,9 @@
 """Experiment flows: one call per paper artefact data point.
 
 Every flow is a thin driver over the stage graph of
-:mod:`repro.pipeline`; pass ``checkpoint_dir`` to any of them to make
-runs resumable (see ``docs/pipeline.md``).
+:mod:`repro.pipeline`, and every experiment runs its flows through
+:func:`run_points`; pass ``checkpoint_dir`` to any of them to make runs
+resumable (see ``docs/pipeline.md``).
 """
 
 from .experiment import (
@@ -19,10 +20,11 @@ from .sweep import (
     Table2Row,
     Table3Row,
     family_tradeoff,
+    fraction_baselines,
     fraction_sweep,
-    table2_row,
-    table3_row,
-    threshold_sweep,
+    run_points,
+    table2_rows,
+    table3_rows,
 )
 
 __all__ = [
@@ -37,8 +39,9 @@ __all__ = [
     "Table2Row",
     "Table3Row",
     "family_tradeoff",
+    "fraction_baselines",
     "fraction_sweep",
-    "table2_row",
-    "table3_row",
-    "threshold_sweep",
+    "run_points",
+    "table2_rows",
+    "table3_rows",
 ]

@@ -1,27 +1,34 @@
-"""Sweeps and table builders for the paper's figures and tables.
+"""One flow-point executor and the paper's sweeps and tables built on it.
 
-Each function here regenerates the data behind one artefact:
+Each evaluation artefact of the paper is a list of flow points —
+benchmark × assignment policy × knob — and :func:`run_points` is the one
+function that runs such a list.  The artefact builders here shape its
+input and output:
 
 * :func:`fraction_sweep` — Figs. 4 and 5 (ranking fraction 0 -> 1);
+* :func:`fraction_baselines` — the fraction-0 point Figs. 4-6 normalise
+  against, picked from a sweep or run when the grid lacks it;
 * :func:`family_tradeoff` — Fig. 6 (area vs error rate per C^f family);
-* :func:`table2_row` — Table 2 (LC^f vs ranking vs complete);
-* :func:`table3_row` — Table 3 (estimate bands and achieved rates);
-* :func:`threshold_sweep` — the LC^f-threshold ablation.
+* :func:`table2_rows` — Table 2 (LC^f vs ranking vs complete);
+* :func:`table3_rows` — Table 3 (estimate bands and achieved rates).
+
+The LC^f-threshold ablation and the declarative scenarios of
+:mod:`repro.scenarios` pass their points to :func:`run_points` directly.
 
 Parallel execution
 ------------------
 
-Every sweep point is an independent ``run_flow`` call — itself a thin
-driver over the stage graph of :mod:`repro.pipeline` — so the sweep
-drivers accept a ``jobs`` argument (an integer or ``"auto"``) and fan
-the points out over the process-wide warm worker pool of
-:mod:`repro.perf.pool` (see :func:`parallel_map`): persistent preloaded
-workers, cache pre-seeding, shared-memory task transfer and batched
-work-stealing scheduling.  Results always come back in input order and
-synthesis is deterministic across processes, so a parallel sweep is
-bit-identical to the serial one.  ``jobs <= 1`` runs in-process, which
-additionally shares the minimisation cache of :mod:`repro.perf` across
-points.
+Every flow point is an independent ``run_flow`` call — itself a thin
+driver over the stage graph of :mod:`repro.pipeline` — so
+:func:`run_points` accepts a ``jobs`` argument (an integer or
+``"auto"``) and fans the points out over the process-wide warm worker
+pool of :mod:`repro.perf.pool` (see :func:`parallel_map`): persistent
+preloaded workers, cache pre-seeding, shared-memory task transfer and
+batched work-stealing scheduling.  Results always come back in input
+order and synthesis is deterministic across processes, so a parallel
+run is bit-identical to the serial one.  ``jobs <= 1`` runs in-process,
+which additionally shares the minimisation cache of :mod:`repro.perf`
+across points.
 
 Checkpointed sweeps: pass ``checkpoint_dir`` and every point persists
 its per-stage outputs content-addressed (see
@@ -43,13 +50,15 @@ stack.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from ..benchgen.synthetic import generate_spec
-from ..core.cfactor import DEFAULT_THRESHOLD, cfactor_assignment
+from ..core.cfactor import DEFAULT_THRESHOLD
+from ..core.complexity import spec_complexity_factor
 from ..core.estimates import border_bounds, signal_probability_bounds
 from ..core.reliability import ErrorBounds, exact_error_bounds
 from ..core.spec import FunctionSpec
@@ -59,14 +68,15 @@ from .experiment import FlowResult, relative_metrics, run_flow
 
 __all__ = [
     "SweepPointError",
+    "fraction_baselines",
     "fraction_sweep",
     "family_tradeoff",
     "parallel_map",
-    "table2_row",
+    "run_points",
+    "table2_rows",
     "Table2Row",
-    "table3_row",
+    "table3_rows",
     "Table3Row",
-    "threshold_sweep",
 ]
 
 _T = TypeVar("_T")
@@ -109,7 +119,10 @@ def _describe_point(point: Any) -> str:
     ):
         spec, policy, kwargs = point
         name = getattr(spec, "name", spec)
-        args = ", ".join(f"{key}={value!r}" for key, value in kwargs.items())
+        args = ", ".join(
+            f"{key}={value!r}" for key, value in kwargs.items()
+            if value is not None
+        )
         return f"benchmark={name}, policy={policy}, {args}"
     text = repr(point)
     return text if len(text) <= 120 else text[:117] + "..."
@@ -173,6 +186,36 @@ def _run_flow_task(task: tuple[FunctionSpec, str, dict]) -> FlowResult:
     return run_flow(spec, policy, **kwargs)
 
 
+def run_points(
+    points: Sequence[tuple[FunctionSpec, Mapping[str, Any]]],
+    *,
+    objective: str,
+    fault_model: Any = None,
+    jobs: int | str = 1,
+    progress: ProgressCallback | None = None,
+    checkpoint_dir: str | os.PathLike | None = None,
+) -> list[FlowResult]:
+    """Run every ``(spec, point)`` flow point; results in input order.
+
+    The one executor behind every paper experiment.  *point* is a
+    ``Scenario.policies``-style dict: ``policy`` plus, optionally, its
+    knob (``fraction`` or ``threshold``; absent knobs take
+    :func:`run_flow`'s defaults).  The keyword arguments apply to every
+    point; ``jobs`` and ``progress`` are :func:`parallel_map`'s.
+    """
+    common = {"objective": objective, "fault_model": fault_model,
+              "checkpoint_dir": checkpoint_dir}
+    tasks = [
+        (spec, point["policy"], {
+            **{knob: point[knob] for knob in ("fraction", "threshold")
+               if knob in point},
+            **common,
+        })
+        for spec, point in points
+    ]
+    return parallel_map(_run_flow_task, tasks, jobs, progress=progress)
+
+
 def fraction_sweep(
     spec: FunctionSpec,
     fractions: list[float],
@@ -183,41 +226,40 @@ def fraction_sweep(
     checkpoint_dir: str | None = None,
 ) -> list[FlowResult]:
     """Ranking-based results across assignment fractions (Figs. 4-5)."""
-    extra = {} if checkpoint_dir is None else {"checkpoint_dir": checkpoint_dir}
-    tasks = [
-        (spec, "ranking", {"fraction": fraction, "objective": objective, **extra})
-        for fraction in fractions
-    ]
     with span(
-        "sweep.fraction", benchmark=spec.name, points=len(tasks), jobs=jobs
+        "sweep.fraction", benchmark=spec.name, points=len(fractions), jobs=jobs
     ):
-        return parallel_map(_run_flow_task, tasks, jobs, progress=progress)
+        return run_points(
+            [(spec, {"policy": "ranking", "fraction": f}) for f in fractions],
+            objective=objective, jobs=jobs, progress=progress,
+            checkpoint_dir=checkpoint_dir,
+        )
 
 
-def _family_member_task(
-    task: tuple[FunctionSpec, tuple[float, ...], str, str | None],
-) -> list[tuple[float, float, float]] | None:
-    """One family member's full trajectory: ``(fraction, area, error)``.
+def fraction_baselines(
+    specs: Sequence[FunctionSpec],
+    fractions: Sequence[float] = (),
+    sweeps: Sequence[Sequence[FlowResult]] = (),
+    *,
+    objective: str,
+    jobs: int | str = 1,
+    progress: ProgressCallback | None = None,
+    checkpoint_dir: str | os.PathLike | None = None,
+) -> list[FlowResult]:
+    """Each spec's fraction-0 ranking point, which Figs. 4-6 normalise to.
 
-    Returns None for degenerate (wire-only) members, whose baseline has
-    zero area and therefore no overhead signal.
+    When *fractions* holds 0.0 the point is picked from each spec's
+    sweep (``sweeps[i]`` lists ``specs[i]``'s results over *fractions*);
+    otherwise every baseline is run, in one :func:`run_points` pass.
     """
-    spec, fractions, objective, checkpoint_dir = task
-    extra = {} if checkpoint_dir is None else {"checkpoint_dir": checkpoint_dir}
-    baseline = run_flow(spec, "ranking", fraction=0.0, objective=objective, **extra)
-    if baseline.area == 0:
-        return None
-    points: list[tuple[float, float, float]] = []
-    for fraction in fractions:
-        if fraction == 0.0:
-            result = baseline
-        else:
-            result = run_flow(
-                spec, "ranking", fraction=fraction, objective=objective, **extra
-            )
-        rel = relative_metrics(result, baseline)
-        points.append((fraction, rel["area"], rel["error_rate"]))
-    return points
+    if 0.0 in fractions:
+        index = list(fractions).index(0.0)
+        return [results[index] for results in sweeps]
+    return run_points(
+        [(spec, {"policy": "ranking", "fraction": 0.0}) for spec in specs],
+        objective=objective, jobs=jobs, progress=progress,
+        checkpoint_dir=checkpoint_dir,
+    )
 
 
 def family_tradeoff(
@@ -236,10 +278,10 @@ def family_tradeoff(
 ) -> dict[float, list[dict[str, float]]]:
     """Fig. 6: normalised (area, error rate) trajectories per C^f family.
 
-    With ``jobs > 1`` the family members (each a full baseline-plus-
-    fractions trajectory) are distributed over worker processes; the
-    aggregation below is order-preserving, so results are identical to the
-    serial run.
+    Two :func:`run_points` passes: every member's fraction-0 baseline,
+    then the other fractions of the members whose baseline has non-zero
+    area (a wire-only member has no overhead signal).  ``progress``
+    counts the points of both passes.
 
     Returns:
         Map from family C^f to a list of ``{fraction, area, error_rate}``
@@ -263,23 +305,39 @@ def family_tradeoff(
                     ),
                 )
             )
+    specs = [spec for _, spec in members]
     with span("sweep.family", members=len(members), jobs=jobs):
-        trajectories_raw = parallel_map(
-            _family_member_task,
-            [(spec, fractions, objective, checkpoint_dir) for _, spec in members],
-            jobs,
-            progress=progress,
+        baselines = fraction_baselines(
+            specs, objective=objective, jobs=jobs, progress=progress,
+            checkpoint_dir=checkpoint_dir,
         )
+        swept = iter(run_points(
+            [
+                (spec, {"policy": "ranking", "fraction": fraction})
+                for spec, baseline in zip(specs, baselines)
+                if baseline.area != 0
+                for fraction in fractions
+                if fraction != 0.0
+            ],
+            objective=objective, jobs=jobs, checkpoint_dir=checkpoint_dir,
+            progress=None if progress is None else (
+                lambda done, total: progress(
+                    len(specs) + done, len(specs) + total
+                )
+            ),
+        ))
+    accumulators: dict[float, dict[float, list[tuple[float, float]]]] = {
+        cf: {fraction: [] for fraction in fractions} for cf in complexity_factors
+    }
+    for (cf, _), baseline in zip(members, baselines):
+        if baseline.area == 0:
+            continue
+        for fraction in fractions:
+            result = baseline if fraction == 0.0 else next(swept)
+            rel = relative_metrics(result, baseline)
+            accumulators[cf][fraction].append((rel["area"], rel["error_rate"]))
     trajectories: dict[float, list[dict[str, float]]] = {}
-    for cf in complexity_factors:
-        accumulator: dict[float, list[tuple[float, float]]] = {
-            fraction: [] for fraction in fractions
-        }
-        for (member_cf, _), points in zip(members, trajectories_raw):
-            if member_cf != cf or points is None:
-                continue
-            for fraction, area, error_rate in points:
-                accumulator[fraction].append((area, error_rate))
+    for cf, accumulator in accumulators.items():
         if not any(accumulator.values()):
             continue  # every family member was degenerate; nothing to report
         trajectories[cf] = [
@@ -307,44 +365,56 @@ class Table2Row:
     complete_error: float
 
 
-def table2_row(
-    spec: FunctionSpec,
+def table2_rows(
+    specs: Sequence[FunctionSpec],
     *,
     threshold: float = DEFAULT_THRESHOLD,
     objective: str = "area",
-    checkpoint_dir: str | None = None,
-) -> Table2Row:
+    jobs: int | str = 1,
+    checkpoint_dir: str | os.PathLike | None = None,
+) -> list[Table2Row]:
     """Table 2: LC^f-based vs equal-fraction ranking vs complete.
 
     The ranking fraction is tied to the fraction the LC^f policy decided,
-    exactly as the paper compares them.
+    exactly as the paper compares them, so the ranking points run in a
+    second :func:`run_points` pass once the LC^f results are in.
     """
-    from ..core.complexity import spec_complexity_factor
-
-    extra = {} if checkpoint_dir is None else {"checkpoint_dir": checkpoint_dir}
-    baseline = run_flow(spec, "conventional", objective=objective, **extra)
-    lcf_assignment = cfactor_assignment(spec, threshold)
-    lcf_fraction = min(1.0, lcf_assignment.fraction_of(spec))
-    lcf = run_flow(
-        spec, "cfactor", threshold=threshold, objective=objective, **extra
+    policies = (
+        {"policy": "conventional"},
+        {"policy": "cfactor", "threshold": threshold},
+        {"policy": "complete"},
     )
-    ranking = run_flow(
-        spec, "ranking", fraction=lcf_fraction, objective=objective, **extra
+    first = run_points(
+        [(spec, point) for spec in specs for point in policies],
+        objective=objective, jobs=jobs, checkpoint_dir=checkpoint_dir,
     )
-    complete = run_flow(spec, "complete", objective=objective, **extra)
-    rel_lcf = relative_metrics(lcf, baseline)
-    rel_rank = relative_metrics(ranking, baseline)
-    rel_complete = relative_metrics(complete, baseline)
-    return Table2Row(
-        benchmark=spec.name,
-        cf=spec_complexity_factor(spec),
-        lcf_area=rel_lcf["area_improvement_pct"],
-        lcf_error=rel_lcf["error_improvement_pct"],
-        ranking_area=rel_rank["area_improvement_pct"],
-        ranking_error=rel_rank["error_improvement_pct"],
-        complete_area=rel_complete["area_improvement_pct"],
-        complete_error=rel_complete["error_improvement_pct"],
+    baselines, lcfs, completes = first[0::3], first[1::3], first[2::3]
+    rankings = run_points(
+        [
+            (spec, {"policy": "ranking",
+                    "fraction": min(1.0, lcf.fraction_assigned)})
+            for spec, lcf in zip(specs, lcfs)
+        ],
+        objective=objective, jobs=jobs, checkpoint_dir=checkpoint_dir,
     )
+    rows = []
+    for spec, baseline, lcf, ranking, complete in zip(
+        specs, baselines, lcfs, rankings, completes
+    ):
+        rel_lcf = relative_metrics(lcf, baseline)
+        rel_rank = relative_metrics(ranking, baseline)
+        rel_complete = relative_metrics(complete, baseline)
+        rows.append(Table2Row(
+            benchmark=spec.name,
+            cf=spec_complexity_factor(spec),
+            lcf_area=rel_lcf["area_improvement_pct"],
+            lcf_error=rel_lcf["error_improvement_pct"],
+            ranking_area=rel_rank["area_improvement_pct"],
+            ranking_error=rel_rank["error_improvement_pct"],
+            complete_area=rel_complete["area_improvement_pct"],
+            complete_error=rel_complete["error_improvement_pct"],
+        ))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -362,57 +432,41 @@ class Table3Row:
     lcf_diff_pct: float
 
 
-def table3_row(
-    spec: FunctionSpec,
+def table3_rows(
+    specs: Sequence[FunctionSpec],
     *,
     threshold: float = DEFAULT_THRESHOLD,
     objective: str = "area",
-    checkpoint_dir: str | None = None,
-) -> Table3Row:
+    jobs: int | str = 1,
+    checkpoint_dir: str | os.PathLike | None = None,
+) -> list[Table3Row]:
     """Table 3: estimate bands plus conventional and LC^f achieved rates.
 
     The "% Diff." columns report how far above the exact minimum each
     implementation's rate lands, as in the paper.
     """
-    extra = {} if checkpoint_dir is None else {"checkpoint_dir": checkpoint_dir}
-    exact = exact_error_bounds(spec)
-    conventional = run_flow(spec, "conventional", objective=objective, **extra)
-    lcf = run_flow(
-        spec, "cfactor", threshold=threshold, objective=objective, **extra
+    policies = ({"policy": "conventional"},
+                {"policy": "cfactor", "threshold": threshold})
+    results = run_points(
+        [(spec, point) for spec in specs for point in policies],
+        objective=objective, jobs=jobs, checkpoint_dir=checkpoint_dir,
     )
+    rows = []
+    for spec, conventional, lcf in zip(specs, results[0::2], results[1::2]):
+        exact = exact_error_bounds(spec)
 
-    def diff_pct(rate: float) -> float:
-        return 100.0 * (rate - exact.lo) / exact.lo if exact.lo else 0.0
+        def diff_pct(rate: float) -> float:
+            return 100.0 * (rate - exact.lo) / exact.lo if exact.lo else 0.0
 
-    return Table3Row(
-        benchmark=spec.name,
-        gates=conventional.gates,
-        exact=exact,
-        signal=signal_probability_bounds(spec),
-        border=border_bounds(spec),
-        conventional_rate=conventional.error_rate,
-        conventional_diff_pct=diff_pct(conventional.error_rate),
-        lcf_rate=lcf.error_rate,
-        lcf_diff_pct=diff_pct(lcf.error_rate),
-    )
-
-
-def threshold_sweep(
-    spec: FunctionSpec,
-    thresholds: list[float],
-    *,
-    objective: str = "area",
-    jobs: int = 1,
-    progress: ProgressCallback | None = None,
-    checkpoint_dir: str | None = None,
-) -> list[FlowResult]:
-    """LC^f-threshold ablation: results across the threshold knob."""
-    extra = {} if checkpoint_dir is None else {"checkpoint_dir": checkpoint_dir}
-    tasks = [
-        (spec, "cfactor", {"threshold": threshold, "objective": objective, **extra})
-        for threshold in thresholds
-    ]
-    with span(
-        "sweep.threshold", benchmark=spec.name, points=len(tasks), jobs=jobs
-    ):
-        return parallel_map(_run_flow_task, tasks, jobs, progress=progress)
+        rows.append(Table3Row(
+            benchmark=spec.name,
+            gates=conventional.gates,
+            exact=exact,
+            signal=signal_probability_bounds(spec),
+            border=border_bounds(spec),
+            conventional_rate=conventional.error_rate,
+            conventional_diff_pct=diff_pct(conventional.error_rate),
+            lcf_rate=lcf.error_rate,
+            lcf_diff_pct=diff_pct(lcf.error_rate),
+        ))
+    return rows

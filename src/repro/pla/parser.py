@@ -71,13 +71,20 @@ def parse_pla(text: str, *, name: str = "pla") -> FunctionSpec:
     logic_type = "fd"
     cube_lines: list[tuple[str, str]] = []
 
-    for raw_line in text.splitlines():
+    for number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("."):
             parts = line.split()
             directive = parts[0]
+            if directive in (".i", ".o", ".type") and len(parts) < 2:
+                raise PlaError(f"line {number}: {directive} needs a value")
+            if directive in (".i", ".o") and not parts[1].isdecimal():
+                raise PlaError(
+                    f"line {number}: {directive} needs a non-negative "
+                    f"integer, got {parts[1]!r}"
+                )
             if directive == ".i":
                 num_inputs = int(parts[1])
             elif directive == ".o":

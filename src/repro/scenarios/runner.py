@@ -1,9 +1,9 @@
 """Run scenarios through the pipeline and persist the result matrix.
 
-:func:`run_scenario` fans one scenario's (benchmark × policy) points
-over the warm worker pool (:func:`repro.flows.sweep.parallel_map` — the
-same executor the sweeps use, so workers, shared-memory transfer and
-work stealing come for free) and returns a :class:`ScenarioResult`.
+:func:`run_scenario` hands one scenario's (benchmark × policy) points
+to :func:`repro.flows.sweep.run_points` — the executor every paper
+experiment uses, so the warm pool, shared-memory transfer, work stealing
+and checkpoints come for free — and returns a :class:`ScenarioResult`.
 
 :func:`write_scenario_matrix` merges results into ``BENCH_scenarios.json``
 (see ``docs/scenarios.md`` for the schema): one entry per scenario with
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..flows.experiment import FlowResult
-from ..flows.sweep import ProgressCallback, _run_flow_task, parallel_map
+from ..flows.sweep import ProgressCallback, run_points
 from ..obs import metrics as obs_metrics
 from ..obs import span
 from ..obs.manifest import git_revision
@@ -155,37 +155,32 @@ def run_scenario(
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     fault_spec = scenario.fault_model_spec()
-    specs = scenario_specs(scenario)
-    extra: dict[str, Any] = {"objective": scenario.objective,
-                             "fault_model": fault_spec}
-    if checkpoint_dir is not None:
-        extra["checkpoint_dir"] = checkpoint_dir
-    tasks = []
-    for spec in specs:
-        for point in scenario.policies:
-            kwargs = dict(extra)
-            for knob in ("fraction", "threshold"):
-                if knob in point:
-                    kwargs[knob] = point[knob]
-            tasks.append((spec, point["policy"], kwargs))
+    points = [
+        (spec, point)
+        for spec in scenario_specs(scenario)
+        for point in scenario.policies
+    ]
     obs_metrics.counter("scenario.runs").inc()
-    obs_metrics.counter("scenario.points").inc(len(tasks))
+    obs_metrics.counter("scenario.points").inc(len(points))
     with span(
         "scenario.run",
         scenario=scenario.name,
-        points=len(tasks),
+        points=len(points),
         jobs=jobs,
         fault_model=fault_spec.get("model"),
     ):
-        results = parallel_map(_run_flow_task, tasks, jobs, progress=progress)
-    points = tuple(
-        ScenarioPoint.from_flow(scenario.name, result) for result in results
-    )
+        results = run_points(
+            points, objective=scenario.objective, fault_model=fault_spec,
+            jobs=jobs, progress=progress, checkpoint_dir=checkpoint_dir,
+        )
     resolved_jobs = jobs if isinstance(jobs, int) else 0
     return ScenarioResult(
         scenario=scenario,
         fault_model=fault_spec,
-        points=points,
+        points=tuple(
+            ScenarioPoint.from_flow(scenario.name, result)
+            for result in results
+        ),
         jobs=resolved_jobs,
     )
 

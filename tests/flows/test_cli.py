@@ -47,6 +47,11 @@ class TestCli:
         assert captured.err == (
             f"repro: {bad}: bad input character in '1x'\n"
         )
+        bad.write_text(".i x\n.o 1\n")
+        assert main(["info", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"repro: {bad}: line 1: .i needs a non-negative integer, got 'x'\n"
+        )
 
     def test_assign_writes_pla(self, pla_file, tmp_path, capsys):
         out_path = str(tmp_path / "assigned.pla")
@@ -81,6 +86,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fraction" in out
         assert out.count("\n") >= 4
+
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_sweep_rejects_fewer_than_two_points(self, pla_file, points, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", pla_file, "--points", points])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--points: must be at least 2" in err
+        assert "Traceback" not in err
 
     def test_gen(self, tmp_path, capsys):
         out_path = str(tmp_path / "gen.pla")
@@ -222,6 +236,20 @@ class TestCliPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert payload["pipeline"]["name"] == "cli-config"
         assert payload["result"]["policy"] == "complete"
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "invalid JSON pipeline config"),
+        ('{"stages": ["assign", "nosuch"]}', "unknown stage 'nosuch'"),
+        ('{"name": "empty"}', "needs a non-empty 'stages' list"),
+    ])
+    def test_run_bad_config_is_one_line(self, pla_file, tmp_path, text, message):
+        path = tmp_path / "flow.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pipeline", "run", pla_file, "--config", str(path)])
+        assert str(excinfo.value.code).startswith("pipeline: ")
+        assert message in str(excinfo.value.code)
+        assert "\n" not in str(excinfo.value.code)
 
     def test_run_complete_dc_flag(self, pla_file, capsys):
         import json

@@ -9,9 +9,9 @@ from repro.flows.experiment import POLICIES, apply_policy, relative_metrics, run
 from repro.flows.report import format_table
 from repro.flows.sweep import (
     fraction_sweep,
-    table2_row,
-    table3_row,
-    threshold_sweep,
+    run_points,
+    table2_rows,
+    table3_rows,
 )
 
 
@@ -93,19 +93,63 @@ class TestSweeps:
         # beyond minimiser noise.
         assert rates[-1] <= rates[0] + 0.02
 
-    def test_threshold_sweep_fraction_monotone(self, small_spec):
-        results = threshold_sweep(small_spec, [0.3, 0.6, 0.9], objective="area")
+    def test_cfactor_points_fraction_monotone(self, small_spec):
+        results = run_points(
+            [(small_spec, {"policy": "cfactor", "threshold": t})
+             for t in (0.3, 0.6, 0.9)],
+            objective="area",
+        )
         fractions = [r.fraction_assigned for r in results]
         assert fractions == sorted(fractions)
 
-    def test_table2_row(self, small_spec):
-        row = table2_row(small_spec)
+    def test_family_tradeoff_matches_direct_flows(self):
+        from repro.benchgen.synthetic import generate_spec
+        from repro.flows.sweep import family_tradeoff
+        from repro.obs import metrics_snapshot, reset_metrics
+
+        fractions = [0.0, 0.5, 1.0]
+        reset_metrics()
+        try:
+            trajectories = family_tradeoff(
+                num_inputs=6, num_outputs=2, complexity_factors=[0.5],
+                functions_per_family=2, fractions=fractions, objective="area",
+            )
+            runs = metrics_snapshot()["flow.runs"]["value"]
+        finally:
+            reset_metrics()
+        members = [
+            generate_spec(f"fam0.50_{index}", 6, 2, target_cf=0.5,
+                          dc_fraction=0.6, seed=500 + index)
+            for index in range(2)
+        ]
+        relative = []
+        for spec in members:
+            baseline = run_flow(spec, "ranking", fraction=0.0, objective="area")
+            assert baseline.area != 0
+            relative.append([
+                relative_metrics(
+                    run_flow(spec, "ranking", fraction=f, objective="area"),
+                    baseline,
+                )
+                for f in fractions
+            ])
+        assert runs == 2 * len(fractions)  # one baseline plus two fractions each
+        assert list(trajectories) == [0.5]
+        for index, point in enumerate(trajectories[0.5]):
+            assert point["fraction"] == fractions[index]
+            assert point["area"] == float(np.mean(
+                [rel[index]["area"] for rel in relative]))
+            assert point["error_rate"] == float(np.mean(
+                [rel[index]["error_rate"] for rel in relative]))
+
+    def test_table2_rows(self, small_spec):
+        [row] = table2_rows([small_spec])
         assert row.benchmark == "small"
         # Complete assignment is the reliability ceiling.
         assert row.complete_error >= row.lcf_error - 5.0
 
-    def test_table3_row(self, small_spec):
-        row = table3_row(small_spec)
+    def test_table3_rows(self, small_spec):
+        [row] = table3_rows([small_spec])
         assert row.exact.lo <= row.conventional_rate + 1e-9
         assert row.conventional_diff_pct >= -1e-9
         assert row.lcf_rate <= row.conventional_rate + 0.02

@@ -34,9 +34,9 @@ class TestExport:
         assert float(rows[1][2]) == pytest.approx(1.0)  # fraction 0 baseline
 
     def test_table2_roundtrip(self, tmp_path):
-        """The exported CSV carries exactly the table2_row measurements."""
+        """The exported CSV carries exactly the table2_rows measurements."""
         from repro.benchgen import mcnc_benchmark
-        from repro.flows.sweep import table2_row
+        from repro.flows.sweep import table2_rows
 
         path = export_table2(tmp_path, ["bench"])
         rows = read_csv(path)
@@ -46,7 +46,7 @@ class TestExport:
             "complete_area_pct", "complete_error_pct",
         ]
         data = dict(zip(rows[0], rows[1]))
-        row = table2_row(mcnc_benchmark("bench"))
+        [row] = table2_rows([mcnc_benchmark("bench")])
         assert data["name"] == "bench"
         assert float(data["cf"]) == pytest.approx(row.cf, abs=1e-4)
         assert float(data["lcf_area_pct"]) == pytest.approx(row.lcf_area, abs=0.01)
@@ -72,3 +72,51 @@ class TestExport:
         assert main(["export", str(tmp_path), "--benchmarks", "bench"]) == 0
         out = capsys.readouterr().out
         assert out.count("wrote") == 4
+
+
+class TestTablesAgainstDirectFlows:
+    """Table 2/3 rows equal values built from direct ``run_flow`` calls."""
+
+    def test_table2_and_table3_match_direct_flows(self):
+        from repro.benchgen import mcnc_benchmark
+        from repro.core.cfactor import DEFAULT_THRESHOLD, cfactor_assignment
+        from repro.core.complexity import spec_complexity_factor
+        from repro.core.estimates import border_bounds, signal_probability_bounds
+        from repro.core.reliability import exact_error_bounds
+        from repro.flows.experiment import relative_metrics, run_flow
+        from repro.flows.sweep import table2_rows, table3_rows
+
+        spec = mcnc_benchmark("bench")
+        conventional = run_flow(spec, "conventional", objective="area")
+        lcf = run_flow(spec, "cfactor", threshold=DEFAULT_THRESHOLD,
+                       objective="area")
+        lcf_fraction = min(
+            1.0, cfactor_assignment(spec, DEFAULT_THRESHOLD).fraction_of(spec)
+        )
+        ranking = run_flow(spec, "ranking", fraction=lcf_fraction,
+                           objective="area")
+        complete = run_flow(spec, "complete", objective="area")
+
+        [row2] = table2_rows([spec])
+        assert row2.benchmark == "bench"
+        assert row2.cf == spec_complexity_factor(spec)
+        for prefix, result in (("lcf", lcf), ("ranking", ranking),
+                               ("complete", complete)):
+            rel = relative_metrics(result, conventional)
+            assert getattr(row2, f"{prefix}_area") == rel["area_improvement_pct"]
+            assert getattr(row2, f"{prefix}_error") == rel["error_improvement_pct"]
+
+        [row3] = table3_rows([spec])
+        exact = exact_error_bounds(spec)
+        assert row3.gates == conventional.gates
+        assert row3.exact == exact
+        assert row3.signal == signal_probability_bounds(spec)
+        assert row3.border == border_bounds(spec)
+        assert row3.conventional_rate == conventional.error_rate
+        assert row3.lcf_rate == lcf.error_rate
+        assert row3.conventional_diff_pct == pytest.approx(
+            100.0 * (conventional.error_rate - exact.lo) / exact.lo
+        )
+        assert row3.lcf_diff_pct == pytest.approx(
+            100.0 * (lcf.error_rate - exact.lo) / exact.lo
+        )

@@ -9,10 +9,9 @@ import pytest
 from repro.benchgen import mcnc_benchmark
 from repro.flows.sweep import (
     SweepPointError,
-    _run_flow_task,
     fraction_sweep,
     parallel_map,
-    threshold_sweep,
+    run_points,
 )
 from repro.obs import disable_tracing, metrics_snapshot, reset_metrics, tracing
 
@@ -125,10 +124,13 @@ class TestWorkerFailures:
         spec = mcnc_benchmark("fout")
         from repro.flows.sweep import _describe_point
 
-        text = _describe_point((spec, "ranking", {"fraction": 0.5}))
+        text = _describe_point(
+            (spec, "ranking", {"fraction": 0.5, "checkpoint_dir": None})
+        )
         assert "benchmark=fout" in text
         assert "policy=ranking" in text
         assert "fraction=0.5" in text
+        assert "checkpoint_dir" not in text  # unset knobs stay out
 
 
 class TestCrossProcessTelemetry:
@@ -178,25 +180,26 @@ class TestParallelSweeps:
         assert serial == parallel  # FlowResult is a frozen dataclass
         assert [r.parameter for r in parallel] == fractions
 
-    def test_threshold_sweep_parallel_matches_serial(self):
+    def test_cfactor_points_parallel_match_serial(self):
         spec = mcnc_benchmark("fout")
-        thresholds = [0.4, 0.8]
-        serial = threshold_sweep(spec, thresholds, objective="area", jobs=1)
-        parallel = threshold_sweep(spec, thresholds, objective="area", jobs=2)
+        points = [(spec, {"policy": "cfactor", "threshold": t}) for t in (0.4, 0.8)]
+        serial = run_points(points, objective="area", jobs=1)
+        parallel = run_points(points, objective="area", jobs=2)
         assert serial == parallel
+        assert [r.parameter for r in parallel] == [0.4, 0.8]
 
     def test_all_policies_parallel_match_serial(self):
         # Bit-identical results across the pool for every assignment
         # policy, not just the ranking sweeps the other tests exercise.
         spec = mcnc_benchmark("fout")
-        tasks = [
-            (spec, "conventional", {"objective": "area"}),
-            (spec, "ranking", {"fraction": 0.5, "objective": "area"}),
-            (spec, "cfactor", {"threshold": 0.55, "objective": "area"}),
-            (spec, "complete", {"objective": "area"}),
+        points = [
+            (spec, {"policy": "conventional"}),
+            (spec, {"policy": "ranking", "fraction": 0.5}),
+            (spec, {"policy": "cfactor", "threshold": 0.55}),
+            (spec, {"policy": "complete"}),
         ]
-        serial = parallel_map(_run_flow_task, tasks, 1)
-        parallel = parallel_map(_run_flow_task, tasks, 2)
+        serial = run_points(points, objective="area", jobs=1)
+        parallel = run_points(points, objective="area", jobs=2)
         assert serial == parallel
         assert [r.policy for r in parallel] == [
             "conventional", "ranking", "cfactor", "complete",
@@ -204,6 +207,9 @@ class TestParallelSweeps:
 
     def test_run_flow_task_trampoline(self):
         spec = mcnc_benchmark("fout")
-        result = _run_flow_task((spec, "ranking", {"fraction": 0.5, "objective": "area"}))
+        [result] = run_points(
+            [(spec, {"policy": "ranking", "fraction": 0.5})], objective="area"
+        )
         assert result.policy == "ranking"
         assert result.parameter == 0.5
+        assert result.objective == "area"

@@ -67,6 +67,10 @@ class TestParser:
             parse_pla("11 1\n")
         with pytest.raises(PlaError, match="before .i"):
             parse_pla("111\n.i 2\n.o 1\n")
+        for text, line in ((".i\n.o 1\n", 1), (".i 2\n.o\n", 2),
+                           (".i 2\n.o 1\n.type\n", 3)):
+            with pytest.raises(PlaError, match=f"^line {line}: .* needs a value"):
+                parse_pla(text)
 
     def test_bad_width(self):
         with pytest.raises(PlaError, match="wrong width"):
@@ -77,6 +81,10 @@ class TestParser:
             parse_pla(".i 2\n.o 1\nx1 1\n")
         with pytest.raises(PlaError, match="bad output"):
             parse_pla(".i 2\n.o 1\n11 x\n")
+        for text, line in ((".i x\n.o 1\n", 1), (".i -2\n.o 1\n", 1),
+                           (".i 2\n.o 1.5\n", 2)):
+            with pytest.raises(PlaError, match=f"^line {line}: .* non-negative integer"):
+                parse_pla(text)
 
     def test_unknown_type(self):
         with pytest.raises(PlaError, match="unsupported .type"):
