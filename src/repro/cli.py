@@ -84,15 +84,26 @@ def _resolve_jobs_arg(value: str, points: int | None = None) -> int:
         raise SystemExit(f"--jobs: {error}") from None
 
 
-def _sweep_points(value: str) -> int:
-    """``--points``: a sweep needs both ends of the fraction grid."""
+def _int_at_least(value: str, minimum: int) -> int:
     try:
-        points = int(value)
+        number = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if points < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {points}")
-    return points
+    if number < minimum:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {minimum}, got {number}"
+        )
+    return number
+
+
+def _sweep_points(value: str) -> int:
+    """``--points``: a sweep needs both ends of the fraction grid."""
+    return _int_at_least(value, 2)
+
+
+def _positive_int(value: str) -> int:
+    """``--distances`` / ``--burst``: a fault flips at least one pin."""
+    return _int_at_least(value, 1)
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -373,9 +384,24 @@ def _with_complete_dc_stage(config: dict) -> dict:
     return {**config, "stages": stages}
 
 
+def _config_fault_models(config: dict) -> list:
+    """Every ``fault_model`` a pipeline config sets, pipeline- or stage-wide.
+
+    Checked before the first stage runs, so a bad model fails the command
+    up front instead of after five stages, in ``measure``.
+    """
+    scopes = [config.get("params") or {}]
+    scopes += [
+        entry.get("params") or {}
+        for entry in config["stages"] if isinstance(entry, dict)
+    ]
+    return [scope["fault_model"] for scope in scopes if scope.get("fault_model")]
+
+
 def _cmd_pipeline_run(args: argparse.Namespace) -> int:
     import dataclasses
 
+    from .faults import create_fault_model
     from .flows.experiment import flow_result
     from .flows.report import format_table
     from .obs import metrics as obs_metrics
@@ -404,6 +430,8 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
                 "params": {**config.get("params", {}), "dc_jobs": dc_jobs},
             }
         pipe = Pipeline.from_config(config, checkpoint=checkpoint)
+        for fault_model in _config_fault_models(config):
+            create_fault_model(fault_model).check_width(spec.num_inputs)
     except (ValueError, KeyError) as error:
         raise SystemExit(f"pipeline: {error.args[0]}") from None
     ran_before = obs_metrics.counter("pipeline.stages_run").value
@@ -1042,11 +1070,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_policy_args(p_report)
     p_report.add_argument("--objective", default="area",
                           choices=["delay", "power", "area"])
-    p_report.add_argument("--distances", type=int, nargs="*", default=[2],
-                          metavar="K",
+    p_report.add_argument("--distances", type=_positive_int, nargs="*",
+                          default=[2], metavar="K",
                           help="multi-bit Hamming distances to report "
                                "(default: 2)")
-    p_report.add_argument("--burst", type=int, default=None, metavar="W",
+    p_report.add_argument("--burst", type=_positive_int, default=None,
+                          metavar="W",
                           help="also report the burst model of this width")
     p_report.add_argument("--samples", type=int, default=20_000,
                           help="Monte-Carlo samples (default %(default)s)")

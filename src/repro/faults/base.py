@@ -89,6 +89,13 @@ class FaultModel:
 
     # ------------------------------------------------------------ input scope
 
+    def check_width(self, num_inputs: int) -> None:
+        """Raise ``ValueError`` when a fault cannot span *num_inputs* pins.
+
+        The default accepts any width; models whose faults flip several
+        pins together (``multibit``, ``burst``) override it.
+        """
+
     def patterns(self, num_inputs: int) -> Iterable[int]:
         """The enumerable error patterns as input-index XOR bitmasks.
 

@@ -89,14 +89,14 @@ class MultiBitInput(FaultModel):
             raise ValueError(f"k must be a positive integer, got {k!r}")
         self.k = int(k)
 
-    def _check_width(self, num_inputs: int) -> None:
+    def check_width(self, num_inputs: int) -> None:
         if self.k > num_inputs:
             raise ValueError(
                 f"distance must lie in [1, {num_inputs}], got {self.k}"
             )
 
     def patterns(self, num_inputs: int) -> list[int]:
-        self._check_width(num_inputs)
+        self.check_width(num_inputs)
         masks = []
         for bits in combinations(range(num_inputs), self.k):
             error = 0
@@ -108,7 +108,7 @@ class MultiBitInput(FaultModel):
     def corruption_words(
         self, rng: np.random.Generator, num_inputs: int, count: int
     ) -> np.ndarray:
-        self._check_width(num_inputs)
+        self.check_width(num_inputs)
         # A uniform k-subset per vector: rank random scores and keep the
         # k smallest positions.
         scores = rng.random((count, num_inputs))
@@ -139,21 +139,21 @@ class BurstInput(FaultModel):
             )
         self.width = int(width)
 
-    def _check_width(self, num_inputs: int) -> None:
+    def check_width(self, num_inputs: int) -> None:
         if self.width > num_inputs:
             raise ValueError(
                 f"burst width must lie in [1, {num_inputs}], got {self.width}"
             )
 
     def patterns(self, num_inputs: int) -> list[int]:
-        self._check_width(num_inputs)
+        self.check_width(num_inputs)
         run = (1 << self.width) - 1
         return [run << start for start in range(num_inputs - self.width + 1)]
 
     def corruption_words(
         self, rng: np.random.Generator, num_inputs: int, count: int
     ) -> np.ndarray:
-        self._check_width(num_inputs)
+        self.check_width(num_inputs)
         starts = rng.integers(num_inputs - self.width + 1, size=count)
         columns = starts[:, None] + np.arange(self.width)[None, :]
         mask = np.zeros((count, num_inputs), dtype=bool)

@@ -23,8 +23,7 @@ driver over the stage graph of :mod:`repro.pipeline` — so
 :func:`run_points` accepts a ``jobs`` argument (an integer or
 ``"auto"``) and fans the points out over the process-wide warm worker
 pool of :mod:`repro.perf.pool` (see :func:`parallel_map`): persistent
-preloaded workers, cache pre-seeding, shared-memory task transfer and
-batched work-stealing scheduling.  Results always come back in input
+preloaded workers and batched work-stealing scheduling.  Results always come back in input
 order and synthesis is deterministic across processes, so a parallel
 run is bit-identical to the serial one.  ``jobs <= 1`` runs in-process,
 which additionally shares the minimisation cache of :mod:`repro.perf`
@@ -139,10 +138,10 @@ def parallel_map(
 
     Parallel execution runs on the process-wide warm pool of
     :mod:`repro.perf.pool`: workers persist across successive calls (the
-    second sweep in a process pays no spawn or import cost), task
-    payloads travel zero-copy through shared memory, and points are
-    scheduled as work-stealing batches with a bounded in-flight window —
-    a thousand-point sweep never holds every payload resident at once.
+    second sweep in a process pays no spawn or import cost) and points
+    are scheduled as work-stealing batches with a bounded in-flight
+    window — a thousand-point sweep never holds every payload resident
+    at once.
 
     Args:
         func: a picklable (module-level) callable.

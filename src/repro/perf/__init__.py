@@ -25,7 +25,6 @@ from .pool import (
     WorkerHealth,
     WorkerTaskError,
     available_cpus,
-    configure_pool,
     executor_config,
     get_pool,
     health_snapshot,
@@ -44,7 +43,6 @@ __all__ = [
     "available_cpus",
     "cache_stats",
     "configure_cache",
-    "configure_pool",
     "cover_key",
     "digest_parts",
     "executor_config",

@@ -2,34 +2,15 @@
 
 The sweep drivers of :mod:`repro.flows.sweep` map independent flow runs
 over worker processes.  A cold ``ProcessPoolExecutor`` per sweep loses to
-serial on anything but long sweeps: every call pays process spawn, a full
-import of numpy + this package per worker, byte-for-byte pickling of
-every task's cover/phase arrays, and cold espresso/minimise caches.  This
-module keeps one **warm pool** per process instead:
+serial on anything but long sweeps: every call pays process spawn and a
+full import of numpy + this package per worker.  This module keeps one
+**warm pool** per process instead:
 
 * **Persistent workers.**  Workers are started once (forkserver where
   available, so the heavy imports happen a single time in the fork
   server and are inherited by every worker) and live across successive
   :meth:`WarmPool.map` calls.  A later call asking for more workers grows
   the pool; it never re-pays startup for workers it already has.
-
-* **Cache pre-seeding.**  At spawn, each worker receives a snapshot of
-  the most-recently-used entries of the parent's content-addressed
-  minimisation cache (:mod:`repro.perf.cache`), so the fraction-0
-  baselines and shared sub-problems a sweep re-visits are warm before
-  the first task lands.  Keys are content digests, so seeding can never
-  change results — only skip recomputation.
-
-* **Zero-copy task transfer.**  Tasks are pickled with protocol 5 and a
-  ``buffer_callback``: the large contiguous buffers (packed uint64
-  simulation words, ``FunctionSpec`` phase arrays, cover cube matrices)
-  are split out of the pickle stream.  Each unique buffer — identified
-  by a BLAKE2b content fingerprint — is written once into a
-  :mod:`multiprocessing.shared_memory` segment; tasks reference it by
-  name and fingerprint, and workers attach once per fingerprint and
-  reuse the mapping for every later task (interning).  Ten sweep points
-  over the same spec ship the spec's phase array exactly once, and
-  workers read it straight out of shared memory.
 
 * **Batched, work-stealing scheduling.**  Tasks are grouped into chunks
   with a guided (decreasing-size) plan: early chunks are large to
@@ -65,14 +46,12 @@ numbers.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import os
 import pickle
 import queue as queue_module
 import threading
 import time
 import traceback as _traceback
-from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -84,17 +63,11 @@ from ..obs import profile as obs_profile
 from ..obs import span
 from ..obs import trace as obs_trace
 
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - very restricted builds
-    shared_memory = None  # type: ignore[assignment]
-
 __all__ = [
     "WarmPool",
     "WorkerHealth",
     "WorkerTaskError",
     "available_cpus",
-    "configure_pool",
     "executor_config",
     "get_pool",
     "health_snapshot",
@@ -108,19 +81,6 @@ __all__ = [
 _PRELOAD_MODULES = ("repro.flows.sweep",)
 """Imported in the fork server / at worker start: pulls in numpy, the
 espresso passes, the sim engine and the flow drivers exactly once."""
-
-MIN_SHARED_BUFFER_BYTES = 4096
-"""Out-of-band buffers below this ride inline in the pickle stream —
-a shared-memory segment costs a file descriptor and a syscall, which
-only pays for itself on buffers bigger than the message envelope."""
-
-MAX_SHARED_BYTES = 128 * 1024 * 1024
-"""Parent-side cap on the total bytes held in shared-memory segments;
-least-recently-interned segments are unlinked between calls."""
-
-CACHE_SEED_LIMIT = 512
-"""Most-recently-used minimisation-cache entries shipped to a worker at
-spawn."""
 
 MAX_CHUNK_TASKS = 16
 """Upper bound on tasks per chunk regardless of sweep size."""
@@ -188,156 +148,8 @@ def resolve_jobs(jobs: int | str, points: int | None = None) -> int:
 
 
 def _default_start_method() -> str:
-    override = _START_OVERRIDE or os.environ.get("REPRO_POOL_START_METHOD")
-    if override:
-        return override
     methods = mp.get_all_start_methods()
     return "forkserver" if "forkserver" in methods else "spawn"
-
-
-# ------------------------------------------------------- zero-copy transfer
-
-
-def _fingerprint(view: memoryview) -> str:
-    return hashlib.blake2b(view, digest_size=16).hexdigest()
-
-
-class _SharedBufferTable:
-    """Parent-side content-addressed shared-memory segments.
-
-    One segment per unique buffer content: interning the same fingerprint
-    again is a dict hit, so a sweep whose tasks all reference one spec
-    writes its phase array into shared memory exactly once.
-    """
-
-    def __init__(self, max_bytes: int = MAX_SHARED_BYTES):
-        self.max_bytes = max_bytes
-        self._segments: OrderedDict[str, tuple[Any, int]] = OrderedDict()
-        self._total_bytes = 0
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)
-
-    @property
-    def total_bytes(self) -> int:
-        return self._total_bytes
-
-    def intern(self, view: memoryview) -> tuple[str, str, int]:
-        """Return ``(shm_name, fingerprint, nbytes)`` for *view*'s content."""
-        fingerprint = _fingerprint(view)
-        entry = self._segments.get(fingerprint)
-        if entry is None:
-            segment = shared_memory.SharedMemory(create=True, size=view.nbytes)
-            segment.buf[: view.nbytes] = view
-            self._segments[fingerprint] = (segment, view.nbytes)
-            self._total_bytes += view.nbytes
-            obs_metrics.counter("pool.shm_segments").inc()
-            obs_metrics.counter("pool.shm_bytes").inc(view.nbytes)
-        else:
-            self._segments.move_to_end(fingerprint)
-            segment, _ = entry
-        return segment.name, fingerprint, view.nbytes
-
-    def trim(self) -> None:
-        """Unlink least-recently-interned segments above the byte cap.
-
-        Only called between :meth:`WarmPool.map` calls, when no live task
-        still references a segment by name.  Workers that already mapped
-        an unlinked segment keep their (still valid) mapping.
-        """
-        while self._total_bytes > self.max_bytes and len(self._segments) > 1:
-            _, (segment, nbytes) = self._segments.popitem(last=False)
-            self._total_bytes -= nbytes
-            with suppress(OSError):
-                segment.close()
-                segment.unlink()
-
-    def release_all(self) -> None:
-        for segment, _ in self._segments.values():
-            with suppress(OSError):
-                segment.close()
-                segment.unlink()
-        self._segments.clear()
-        self._total_bytes = 0
-
-
-def _attach_untracked(name: str) -> Any:
-    """Attach to a parent-owned segment without tracker registration.
-
-    Attaching normally registers the segment with the attaching process's
-    resource tracker (``track=False`` only exists from 3.13): under
-    ``spawn`` the worker's own tracker would unlink the parent's segment
-    on worker exit, and under ``forkserver`` the shared tracker would be
-    unbalanced against the parent's create-time registration.  Suppress
-    registration for the attach — ownership stays with the parent.
-    """
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-class _WorkerBufferTable:
-    """Worker-side fingerprint -> attached buffer interning table."""
-
-    def __init__(self, max_entries: int = 512):
-        self.max_entries = max_entries
-        self._buffers: OrderedDict[str, tuple[Any, memoryview]] = OrderedDict()
-
-    def resolve(self, ref: tuple) -> Any:
-        if ref[0] == "inline":
-            return ref[1]
-        _, name, fingerprint, nbytes = ref
-        entry = self._buffers.get(fingerprint)
-        if entry is None:
-            segment = _attach_untracked(name)
-            entry = (segment, segment.buf[:nbytes])
-            self._buffers[fingerprint] = entry
-            while len(self._buffers) > self.max_entries:
-                # Dropping the reference is enough: numpy arrays decoded
-                # from the view keep it (and the mapping) alive until GC.
-                self._buffers.popitem(last=False)
-        else:
-            self._buffers.move_to_end(fingerprint)
-        return entry[1]
-
-
-def _encode_payload(
-    obj: Any, shm_table: _SharedBufferTable | None
-) -> tuple[bytes, tuple]:
-    """Pickle *obj*, splitting large buffers out into shared memory.
-
-    Returns ``(stream, refs)`` where *refs* describes each out-of-band
-    buffer as ``("shm", name, fingerprint, nbytes)`` or
-    ``("inline", bytes)``.  Falls back to a plain in-band pickle when the
-    object's buffers are not contiguous or protocol-5 extraction fails.
-    """
-    buffers: list[pickle.PickleBuffer] = []
-    try:
-        stream = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-        refs = []
-        for buffer in buffers:
-            view = buffer.raw()  # raises BufferError if non-contiguous
-            if shm_table is not None and view.nbytes >= MIN_SHARED_BUFFER_BYTES:
-                name, fingerprint, nbytes = shm_table.intern(view)
-                refs.append(("shm", name, fingerprint, nbytes))
-            else:
-                refs.append(("inline", view.tobytes()))
-            buffer.release()
-        return stream, tuple(refs)
-    except (pickle.PicklingError, BufferError, OSError):
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), ()
-
-
-def _decode_payload(stream: bytes, refs: tuple, table: _WorkerBufferTable) -> Any:
-    if not refs:
-        return pickle.loads(stream)
-    return pickle.loads(stream, buffers=[table.resolve(ref) for ref in refs])
 
 
 # ------------------------------------------------------------- chunk planning
@@ -368,17 +180,6 @@ def _warm_imports() -> None:
     for name in _PRELOAD_MODULES:
         with suppress(Exception):
             __import__(name)
-
-
-def _install_cache_seed(seed_bytes: bytes) -> None:
-    if not seed_bytes:
-        return
-    with suppress(Exception):
-        from .cache import global_cache
-
-        entries = pickle.loads(seed_bytes)
-        global_cache.seed(entries)
-        obs_metrics.counter("pool.seeded_entries").inc(len(entries))
 
 
 def _rss_bytes() -> int:
@@ -422,15 +223,13 @@ def _heartbeat_loop(result_queue: Any, state: _WorkerState,
             ))
 
 
-def _worker_main(task_queue: Any, result_queue: Any, seed_bytes: bytes) -> None:
+def _worker_main(task_queue: Any, result_queue: Any) -> None:
     """Worker loop: pull chunks, run tasks, ship per-chunk obs deltas."""
     with suppress(Exception):
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     _warm_imports()
-    _install_cache_seed(seed_bytes)
-    buffers = _WorkerBufferTable()
     state = _WorkerState()
     heartbeat_stop = threading.Event()
     threading.Thread(
@@ -456,16 +255,14 @@ def _worker_main(task_queue: Any, result_queue: Any, seed_bytes: bytes) -> None:
                     # One decode per map() call: later chunks of the same
                     # epoch reuse the object (e.g. a network snapshot an
                     # oracle was built from), not just its bytes.
-                    shared_obj = _decode_payload(
-                        shared_payload[0], shared_payload[1], buffers
-                    )
+                    shared_obj = pickle.loads(shared_payload)
                     shared_epoch = epoch
                     obs_metrics.counter("pool.shared_decodes").inc()
-                for index, stream, refs in encoded_tasks:
+                for index, stream in encoded_tasks:
                     state.current_index = index
                     state.busy_since = time.time()
                     try:
-                        task = _decode_payload(stream, refs, buffers)
+                        task = pickle.loads(stream)
                         with span("sweep.point", index=index):
                             if shared_payload is not None:
                                 result = func(shared_obj, task)
@@ -553,23 +350,11 @@ class WorkerHealth:
         }
 
 
-def _export_cache_seed(limit: int = CACHE_SEED_LIMIT) -> bytes:
-    from .cache import global_cache
-
-    entries = global_cache.export_entries(limit)
-    if not entries:
-        return b""
-    try:
-        return pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:  # pragma: no cover - unpicklable cache value
-        return b""
-
-
 class WarmPool:
     """Persistent worker processes draining one shared chunk queue."""
 
-    def __init__(self, workers: int, *, start_method: str | None = None):
-        self.start_method = start_method or _default_start_method()
+    def __init__(self, workers: int):
+        self.start_method = _default_start_method()
         self._ctx = mp.get_context(self.start_method)
         if self.start_method == "forkserver":
             with suppress(Exception):
@@ -577,7 +362,6 @@ class WarmPool:
         self._tasks = self._ctx.Queue()
         self._results = self._ctx.Queue()
         self._workers: list[Any] = []
-        self._shm = _SharedBufferTable() if shared_memory is not None else None
         self._epoch = 0
         self.closed = False
         self.last_max_in_flight = 0
@@ -593,11 +377,10 @@ class WarmPool:
         return len(self._workers)
 
     def _spawn(self, count: int) -> None:
-        seed = _export_cache_seed()
         for _ in range(count):
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(self._tasks, self._results, seed),
+                args=(self._tasks, self._results),
                 daemon=True,
             )
             process.start()
@@ -611,7 +394,7 @@ class WarmPool:
             self._spawn(count - len(self._workers))
 
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop every worker and release queues and shared memory."""
+        """Stop every worker and release the queues."""
         if self.closed:
             return
         self.closed = True
@@ -629,8 +412,6 @@ class WarmPool:
             with suppress(Exception):
                 q.cancel_join_thread()
                 q.close()
-        if self._shm is not None:
-            self._shm.release_all()
         self._workers.clear()
         obs_metrics.gauge("pool.workers").set(0)
 
@@ -653,7 +434,7 @@ class WarmPool:
         increasing ``done`` count as tasks complete, regardless of chunk
         completion order.
 
-        When *shared* is given it is encoded **once** for the whole call,
+        When *shared* is given it is pickled **once** for the whole call,
         shipped with every chunk, decoded **once per worker** (cached by
         epoch), and passed as the first argument: ``func(shared, task)``.
         Use it for a large context common to all tasks — a network
@@ -674,13 +455,12 @@ class WarmPool:
         self._epoch += 1
         epoch = self._epoch
         self._drain_stale()
-        if self._shm is not None:
-            self._shm.trim()
         traced = obs_trace.is_enabled()
         profiled = obs_profile.is_profiling()
         func_bytes = pickle.dumps(func, protocol=pickle.HIGHEST_PROTOCOL)
         shared_payload = (
-            None if shared is None else _encode_payload(shared, self._shm)
+            None if shared is None
+            else pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL)
         )
         chunks = plan_chunks(total, jobs)
         window = max(2, WINDOW_CHUNKS_PER_WORKER * jobs)
@@ -696,7 +476,8 @@ class WarmPool:
                 chunk_id = next_chunk
                 start, size = chunks[chunk_id]
                 encoded = [
-                    (index, *_encode_payload(tasks[index], self._shm))
+                    (index, pickle.dumps(tasks[index],
+                                         protocol=pickle.HIGHEST_PROTOCOL))
                     for index in range(start, start + size)
                 ]
                 self._tasks.put(
@@ -900,34 +681,14 @@ class WarmPool:
 # --------------------------------------------------------------- module state
 
 _pool: WarmPool | None = None
-_ENABLED: bool | None = None  # None: follow REPRO_POOL_DISABLE
-_START_OVERRIDE: str | None = None
 
 
 def pool_enabled() -> bool:
-    """False when the warm pool is disabled (env or :func:`configure_pool`).
+    """False when ``REPRO_POOL_DISABLE=1`` (callers fall back to serial).
 
-    ``REPRO_POOL_DISABLE=1`` is read on every call, as the ledger's
-    switch is, unless :func:`configure_pool` set an explicit value.
+    The variable is read on every call, as the ledger's switch is.
     """
-    if _ENABLED is not None:
-        return _ENABLED
     return os.environ.get("REPRO_POOL_DISABLE", "") != "1"
-
-
-def configure_pool(
-    *, enabled: bool | None = None, start_method: str | None = None
-) -> None:
-    """Disable the warm pool (callers fall back to serial) or pin the
-    multiprocessing start method.  Either change shuts the current pool
-    down so the next use starts with the new configuration."""
-    global _ENABLED, _START_OVERRIDE
-    if enabled is not None:
-        _ENABLED = enabled
-        shutdown_pool()
-    if start_method is not None:
-        _START_OVERRIDE = start_method
-        shutdown_pool()
 
 
 def get_pool(workers: int) -> WarmPool:
@@ -966,9 +727,9 @@ atexit.register(shutdown_pool)
 def executor_config(jobs: int | str | None = None) -> dict[str, Any]:
     """The resolved executor configuration, for ``repro info --json``.
 
-    Reports the start method, live/requested worker counts, chunking and
-    zero-copy parameters — the knobs that decide how a ``--jobs N`` sweep
-    actually executes on this machine.
+    Reports the start method, live/requested worker counts and chunking
+    parameters — what decides how a ``--jobs N`` sweep actually executes
+    on this machine.
     """
     live = _pool is not None and not _pool.closed
     return {
@@ -982,10 +743,4 @@ def executor_config(jobs: int | str | None = None) -> dict[str, Any]:
             "max_chunk_tasks": MAX_CHUNK_TASKS,
             "window_chunks_per_worker": WINDOW_CHUNKS_PER_WORKER,
         },
-        "zero_copy": {
-            "shared_memory": shared_memory is not None,
-            "min_buffer_bytes": MIN_SHARED_BUFFER_BYTES,
-            "max_shared_bytes": MAX_SHARED_BYTES,
-        },
-        "cache_seed_entries": CACHE_SEED_LIMIT,
     }

@@ -69,7 +69,7 @@ def parse_pla(text: str, *, name: str = "pla") -> FunctionSpec:
     input_names: tuple[str, ...] = ()
     output_names: tuple[str, ...] = ()
     logic_type = "fd"
-    cube_lines: list[tuple[str, str]] = []
+    cube_lines: list[tuple[int, str, str]] = []  # (line, inputs, outputs)
 
     for number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -96,24 +96,26 @@ def parse_pla(text: str, *, name: str = "pla") -> FunctionSpec:
             elif directive == ".type":
                 logic_type = parts[1]
                 if logic_type not in ("f", "fd", "fr", "fdr"):
-                    raise PlaError(f"unsupported .type {logic_type!r}")
+                    raise PlaError(
+                        f"line {number}: unsupported .type {logic_type!r}"
+                    )
             elif directive in (".e", ".end"):
                 break
             elif directive == ".p":
                 pass  # informational cube count
             else:
-                raise PlaError(f"unsupported directive {directive!r}")
+                raise PlaError(
+                    f"line {number}: unsupported directive {directive!r}"
+                )
             continue
         fields = line.split()
         if len(fields) == 2:
-            cube_lines.append((fields[0], fields[1]))
-        elif len(fields) == 1 and num_inputs is not None:
-            cube_lines.append((fields[0][:num_inputs], fields[0][num_inputs:]))
+            cube_lines.append((number, fields[0], fields[1]))
         else:
-            joined = "".join(fields)
             if num_inputs is None:
-                raise PlaError("cube line before .i directive")
-            cube_lines.append((joined[:num_inputs], joined[num_inputs:]))
+                raise PlaError(f"line {number}: cube line before .i directive")
+            joined = "".join(fields)
+            cube_lines.append((number, joined[:num_inputs], joined[num_inputs:]))
 
     if num_inputs is None or num_outputs is None:
         raise PlaError("missing .i or .o directive")
@@ -125,20 +127,26 @@ def parse_pla(text: str, *, name: str = "pla") -> FunctionSpec:
     off_hit = np.zeros((num_outputs, size), dtype=bool)
     dc_hit = np.zeros((num_outputs, size), dtype=bool)
 
-    for in_plane, out_plane in cube_lines:
+    for number, in_plane, out_plane in cube_lines:
         if len(in_plane) != num_inputs:
-            raise PlaError(f"input plane {in_plane!r} has wrong width")
+            raise PlaError(
+                f"line {number}: input plane {in_plane!r} has wrong width"
+            )
         if len(out_plane) != num_outputs:
-            raise PlaError(f"output plane {out_plane!r} has wrong width")
+            raise PlaError(
+                f"line {number}: output plane {out_plane!r} has wrong width"
+            )
         try:
             cube = [_INPUT_CODES[ch] for ch in in_plane]
         except KeyError as exc:
-            raise PlaError(f"bad input character in {in_plane!r}") from exc
+            raise PlaError(
+                f"line {number}: bad input character in {in_plane!r}"
+            ) from exc
         minterms = _cube_minterms(cube, num_inputs)
         for out, ch in enumerate(out_plane):
             code = _OUTPUT_CODES.get(ch)
             if code is None:
-                raise PlaError(f"bad output character {ch!r}")
+                raise PlaError(f"line {number}: bad output character {ch!r}")
             if code == "1":
                 on_hit[out, minterms] = True
             elif code == "-":

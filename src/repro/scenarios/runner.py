@@ -2,8 +2,8 @@
 
 :func:`run_scenario` hands one scenario's (benchmark × policy) points
 to :func:`repro.flows.sweep.run_points` — the executor every paper
-experiment uses, so the warm pool, shared-memory transfer, work stealing
-and checkpoints come for free — and returns a :class:`ScenarioResult`.
+experiment uses, so the warm pool, work stealing and checkpoints come
+for free — and returns a :class:`ScenarioResult`.
 
 :func:`write_scenario_matrix` merges results into ``BENCH_scenarios.json``
 (see ``docs/scenarios.md`` for the schema): one entry per scenario with

@@ -35,9 +35,6 @@ from .network import LogicNetwork
 
 __all__ = ["SynthesisResult", "compile_spec", "compile_network"]
 
-_OBJECTIVES = ("delay", "power", "area")
-
-
 @dataclass(frozen=True)
 class SynthesisResult:
     """Everything the experiments measure about one implementation.

@@ -61,8 +61,7 @@ Every extractor materialises the node's ``2^k`` local pattern space (the
 ``phases`` array of the returned :class:`FunctionSpec`), so a wide node
 would silently allocate gigabytes before failing.  Extraction raises a
 :class:`ValueError` above this cap instead; callers that sweep whole
-networks (:func:`reassign_internal_dcs`) route or skip such nodes
-explicitly (``wide_nodes=``).
+networks (:func:`reassign_internal_dcs`) skip such nodes explicitly.
 """
 
 
@@ -297,7 +296,6 @@ def reassign_internal_dcs(
     threshold: float = DEFAULT_THRESHOLD,
     fraction: float = 1.0,
     max_fanins: int = 10,
-    wide_nodes: str = "skip",
     fault_model=None,
 ) -> NodalReport:
     """Reassign every node's internal DCs for reliability (in place).
@@ -321,26 +319,19 @@ def reassign_internal_dcs(
             ``"conventional"`` (leave the DCs to ESPRESSO).
         threshold: LC^f threshold for the cfactor policy.
         fraction: fraction of the ranked list for the ranking policy.
-        max_fanins: fanin budget for the exhaustive extractor.
-        wide_nodes: what to do with nodes above *max_fanins*:
-            ``"skip"`` (default) leaves them untouched and counts them in
-            ``odc.wide_nodes_skipped``; ``"sat"`` routes those still
-            within :data:`MAX_EXHAUSTIVE_FANINS` through the
-            simulation+SAT extractor (and skips, with the counter, only
-            the ones beyond the hard cap).
+        max_fanins: fanin budget for the exhaustive extractor; wider
+            nodes are left untouched and counted in
+            ``odc.wide_nodes_skipped``.
         fault_model: node-scope fault model (or declarative spec) used
             for the report's before/after error rates (default: the
             node flip, the historical metric).
 
     Raises:
-        ValueError: on unknown policies or *wide_nodes* modes, or if a
-            rewrite changes the primary outputs (which would indicate an
-            ODC bug).
+        ValueError: on unknown policies, or if a rewrite changes the
+            primary outputs (which would indicate an ODC bug).
     """
     if policy not in ("conventional", "ranking", "cfactor", "complete"):
         raise ValueError(f"unknown policy {policy!r}")
-    if wide_nodes not in ("skip", "sat"):
-        raise ValueError(f"unknown wide_nodes mode {wide_nodes!r}")
     with span("odc.reassign", nodes=len(network.nodes), policy=policy):
         sim = IncrementalNetworkSim(network)
         reference = sim.output_words().copy()
@@ -350,19 +341,9 @@ def reassign_internal_dcs(
         for name in list(network.topological_order()):
             node = network.nodes[name]
             if len(node.fanins) > max_fanins:
-                if (
-                    wide_nodes == "sat"
-                    and len(node.fanins) <= MAX_EXHAUSTIVE_FANINS
-                ):
-                    # Imported lazily: flexibility builds on this module.
-                    from .flexibility import node_flexibility_sat
-
-                    local = node_flexibility_sat(network, name)
-                else:
-                    obs_metrics.counter("odc.wide_nodes_skipped").inc()
-                    continue
-            else:
-                local = node_flexibility(network, name, sim=sim)
+                obs_metrics.counter("odc.wide_nodes_skipped").inc()
+                continue
+            local = node_flexibility(network, name, sim=sim)
             if not int(np.count_nonzero(local.phases == DC)):
                 continue
             if policy == "cfactor":

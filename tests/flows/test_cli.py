@@ -45,7 +45,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"repro: {bad}: bad input character in '1x'\n"
+            f"repro: {bad}: line 3: bad input character in '1x'\n"
         )
         bad.write_text(".i x\n.o 1\n")
         assert main(["info", str(bad)]) == 1
@@ -241,6 +241,13 @@ class TestCliPipeline:
         ("{not json", "invalid JSON pipeline config"),
         ('{"stages": ["assign", "nosuch"]}', "unknown stage 'nosuch'"),
         ('{"name": "empty"}', "needs a non-empty 'stages' list"),
+        ('{"params": {"fault_model": "bogus"}, "stages": ["assign", '
+         '"espresso", "optimize", "map", "tune", "measure"]}',
+         "unknown fault model 'bogus'"),
+        ('{"stages": ["assign", "espresso", "optimize", "map", "tune", '
+         '{"stage": "measure", "params": {"fault_model": '
+         '{"model": "multibit", "k": 99}}}]}',
+         "distance must lie in [1, 6], got 99"),
     ])
     def test_run_bad_config_is_one_line(self, pla_file, tmp_path, text, message):
         path = tmp_path / "flow.json"

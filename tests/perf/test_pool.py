@@ -5,10 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from repro.obs import metrics as obs_metrics
 from repro.perf import get_pool, shutdown_pool
 from repro.perf.pool import (
     MAX_CHUNK_TASKS,
-    MIN_SHARED_BUFFER_BYTES,
     WorkerTaskError,
     available_cpus,
     executor_config,
@@ -48,10 +48,8 @@ def _identity(x: int) -> int:
     return x
 
 
-def _probe_cache_entries(_: int) -> int:
-    from repro.perf import cache_stats
-
-    return cache_stats()["entries"]
+def _scaled_sum(array, offset: int) -> float:
+    return float(array.sum()) * 2 + offset
 
 
 class TestResolveJobs:
@@ -124,30 +122,24 @@ class TestWarmPoolLifecycle:
         assert fresh.map(_identity, [1, 2, 3], 1) == [1, 2, 3]
 
 
-class TestZeroCopyTransfer:
-    def test_shared_buffer_interned_once(self):
-        # Six tasks all carrying the same big array: its bytes must cross
-        # into shared memory exactly once, not once per task.
-        array = np.arange(65536, dtype=np.float64)
-        assert array.nbytes >= MIN_SHARED_BUFFER_BYTES
+class TestTaskTransfer:
+    def test_large_array_tasks_return_correct_sums(self):
+        # 48 KiB per task: the size of the largest Table-1 phase array.
+        array = np.arange(6144, dtype=np.float64)
+        assert array.nbytes == 48 * 1024
         pool = get_pool(2)
         tasks = [(array, offset) for offset in range(6)]
         expected = [float(array.sum()) + offset for offset in range(6)]
         assert pool.map(_sum_task, tasks, 2) == expected
-        assert pool._shm.segment_count == 1
-        assert pool._shm.total_bytes == array.nbytes
 
-    def test_distinct_buffers_get_distinct_segments(self):
-        a = np.arange(4096, dtype=np.float64)
-        b = a + 1.0
+    def test_shared_payload_decoded_at_most_once_per_worker(self):
+        array = np.arange(6144, dtype=np.float64)
         pool = get_pool(2)
-        pool.map(_sum_task, [(a, 0), (b, 0), (a, 1)], 2)
-        assert pool._shm.segment_count == 2
-
-    def test_small_payloads_skip_shared_memory(self):
-        pool = get_pool(2)
-        assert pool.map(_identity, list(range(8)), 2) == list(range(8))
-        assert pool._shm.segment_count == 0
+        with obs_metrics.delta_capture() as delta:
+            results = pool.map(_scaled_sum, list(range(20)), 2, shared=array)
+        assert results == [float(array.sum()) * 2 + i for i in range(20)]
+        decodes = delta["pool.shared_decodes"]["value"]
+        assert 1 <= decodes <= pool.size
 
 
 class TestErrorHandling:
@@ -170,24 +162,6 @@ class TestBoundedWindow:
         assert 0 < pool.last_max_in_flight <= max(2, 2 * 2)
 
 
-class TestCacheSeeding:
-    def test_workers_start_with_parent_cache_entries(self):
-        from repro.benchgen import mcnc_benchmark
-        from repro.espresso.minimize import minimize_spec
-        from repro.perf import cache_stats, reset_cache
-
-        shutdown_pool()  # seed is captured at spawn: force a fresh spawn
-        reset_cache()
-        minimize_spec(mcnc_benchmark("fout"))
-        assert cache_stats()["entries"] > 0
-        try:
-            pool = get_pool(1)
-            entries = pool.map(_probe_cache_entries, [0], 1)[0]
-            assert entries > 0
-        finally:
-            reset_cache()
-
-
 class TestExecutorConfig:
     def test_reports_resolved_configuration(self):
         config = executor_config("auto")
@@ -195,7 +169,6 @@ class TestExecutorConfig:
         assert config["cpus"] == available_cpus()
         assert config["resolved_jobs"] == available_cpus()
         assert config["chunking"]["schedule"] == "guided"
-        assert config["zero_copy"]["shared_memory"] is True
 
     def test_reports_live_worker_count(self):
         assert executor_config()["workers"] is None

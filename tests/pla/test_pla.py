@@ -65,21 +65,29 @@ class TestParser:
     def test_missing_io(self):
         with pytest.raises(PlaError, match="missing"):
             parse_pla("11 1\n")
-        with pytest.raises(PlaError, match="before .i"):
+        with pytest.raises(PlaError, match="^line 1: cube line before .i"):
             parse_pla("111\n.i 2\n.o 1\n")
+        with pytest.raises(PlaError, match="^line 2: cube line before .i"):
+            parse_pla("# header\n1 1 1\n.i 2\n.o 1\n")
         for text, line in ((".i\n.o 1\n", 1), (".i 2\n.o\n", 2),
                            (".i 2\n.o 1\n.type\n", 3)):
             with pytest.raises(PlaError, match=f"^line {line}: .* needs a value"):
                 parse_pla(text)
 
     def test_bad_width(self):
-        with pytest.raises(PlaError, match="wrong width"):
+        with pytest.raises(PlaError, match="^line 3: input plane '11' has wrong width"):
             parse_pla(".i 3\n.o 1\n11 1\n")
+        with pytest.raises(PlaError, match="^line 5: input plane '10' has wrong width"):
+            parse_pla(".i 3\n.o 1\n111 1\n\n10 1\n")
+        with pytest.raises(PlaError, match="^line 3: output plane '11' has wrong width"):
+            parse_pla(".i 2\n.o 1\n11 11\n")
 
     def test_bad_characters(self):
-        with pytest.raises(PlaError, match="bad input"):
+        with pytest.raises(PlaError, match="^line 3: bad input character in 'x1'"):
             parse_pla(".i 2\n.o 1\nx1 1\n")
-        with pytest.raises(PlaError, match="bad output"):
+        with pytest.raises(PlaError, match="^line 4: bad input character in '1x'"):
+            parse_pla(".i 2\n.o 1\n11 1  # ok\n1x 1\n")
+        with pytest.raises(PlaError, match="^line 3: bad output character 'x'"):
             parse_pla(".i 2\n.o 1\n11 x\n")
         for text, line in ((".i x\n.o 1\n", 1), (".i -2\n.o 1\n", 1),
                            (".i 2\n.o 1.5\n", 2)):
@@ -87,8 +95,12 @@ class TestParser:
                 parse_pla(text)
 
     def test_unknown_type(self):
-        with pytest.raises(PlaError, match="unsupported .type"):
+        with pytest.raises(PlaError, match="^line 3: unsupported .type 'q'"):
             parse_pla(".i 2\n.o 1\n.type q\n")
+        with pytest.raises(PlaError, match="^line 4: unsupported .type 'zz'"):
+            parse_pla(".i 2\n.o 1\n\n.type zz\n")
+        with pytest.raises(PlaError, match="^line 2: unsupported directive '.mv'"):
+            parse_pla(".i 2\n.mv 3\n.o 1\n")
 
     def test_joined_planes(self):
         spec = parse_pla(".i 2\n.o 1\n111\n.e\n")

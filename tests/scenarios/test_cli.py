@@ -74,6 +74,18 @@ class TestReport:
                    if "stderr" in row]
         assert sampled and sampled[0]["samples"] == 2000
 
+    @pytest.mark.parametrize("argv", [
+        ["--burst", "0"], ["--distances", "0"], ["--distances", "2", "-1"],
+    ])
+    def test_non_positive_width_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "bench", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "must be at least 1" in err
+        assert "Traceback" not in err
+
     def test_report_matches_synth_error(self, capsys):
         """The exact single-bit row is the flow's own error-rate figure."""
         from repro.benchgen import mcnc_benchmark
