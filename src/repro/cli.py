@@ -67,7 +67,7 @@ from .core.complexity import spec_complexity_factor, spec_expected_complexity_fa
 from .core.estimates import estimate_report
 from .core.reliability import exact_error_bounds
 from .core.spec import FunctionSpec
-from .flows.experiment import apply_policy, relative_metrics, run_flow
+from .flows.experiment import POLICIES, apply_policy, relative_metrics, run_flow
 from .flows.report import format_table
 from .pla import PlaError, read_pla, write_pla
 
@@ -102,8 +102,14 @@ def _sweep_points(value: str) -> int:
 
 
 def _positive_int(value: str) -> int:
-    """``--distances`` / ``--burst``: a fault flips at least one pin."""
+    """``--distances`` / ``--burst``: a fault flips at least one pin;
+    ``--dc-window``: a window spans at least one level."""
     return _int_at_least(value, 1)
+
+
+def _cut_width(value: str) -> int:
+    """``--k``: a renode cut has at least two leaves."""
+    return _int_at_least(value, 2)
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -384,24 +390,41 @@ def _with_complete_dc_stage(config: dict) -> dict:
     return {**config, "stages": stages}
 
 
-def _config_fault_models(config: dict) -> list:
-    """Every ``fault_model`` a pipeline config sets, pipeline- or stage-wide.
+def _check_config_params(config: dict, num_inputs: int) -> None:
+    """Check the params a pipeline config sets, pipeline- or stage-wide.
 
-    Checked before the first stage runs, so a bad model fails the command
-    up front instead of after five stages, in ``measure``.
+    Every ``fault_model`` (name, parameters, width against the spec) and
+    the ``complete_dc`` knobs ``dc_policy``, ``dc_window`` and
+    ``dc_vectors`` are checked before the first stage runs, so a bad
+    value fails the command up front instead of stages later.
+
+    Raises:
+        ValueError: naming the first bad parameter.
     """
+    from .faults import create_fault_model
+
     scopes = [config.get("params") or {}]
     scopes += [
         entry.get("params") or {}
         for entry in config["stages"] if isinstance(entry, dict)
     ]
-    return [scope["fault_model"] for scope in scopes if scope.get("fault_model")]
+    for scope in scopes:
+        if scope.get("fault_model"):
+            create_fault_model(scope["fault_model"]).check_width(num_inputs)
+        policy = scope.get("dc_policy", POLICIES[0])
+        if policy not in POLICIES:
+            raise ValueError(
+                f"unknown dc_policy {policy!r}; choose from {POLICIES}"
+            )
+        for key in ("dc_window", "dc_vectors"):
+            value = scope.get(key, 1)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
 
 
 def _cmd_pipeline_run(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from .faults import create_fault_model
     from .flows.experiment import flow_result
     from .flows.report import format_table
     from .obs import metrics as obs_metrics
@@ -430,8 +453,7 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
                 "params": {**config.get("params", {}), "dc_jobs": dc_jobs},
             }
         pipe = Pipeline.from_config(config, checkpoint=checkpoint)
-        for fault_model in _config_fault_models(config):
-            create_fault_model(fault_model).check_width(spec.num_inputs)
+        _check_config_params(config, spec.num_inputs)
     except (ValueError, KeyError) as error:
         raise SystemExit(f"pipeline: {error.args[0]}") from None
     ran_before = obs_metrics.counter("pipeline.stages_run").value
@@ -1028,11 +1050,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nodal.add_argument("--threshold", type=float, default=1.0)
     p_nodal.add_argument("--renode", action="store_true",
                          help="repartition into k-feasible nodes first")
-    p_nodal.add_argument("--k", type=int, default=6, help="renode fanin bound")
+    p_nodal.add_argument("--k", type=_cut_width, default=6,
+                         help="renode fanin bound")
     p_nodal.add_argument("--sat", action="store_true",
                          help="use the SAT-complete extractor "
                               "(simulation-propose / SAT-confirm)")
-    p_nodal.add_argument("--dc-window", type=int, default=2, dest="dc_window",
+    p_nodal.add_argument("--dc-window", type=_positive_int, default=2,
+                         dest="dc_window",
                          help="window depth for the window-limited "
                               "baseline/fallback extractor")
     _add_jobs_arg(p_nodal)

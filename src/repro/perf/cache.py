@@ -28,7 +28,7 @@ ever see one.  If you embed the cache in a threaded host, wrap access in
 your own lock; the methods do not lock internally.
 
 Observability: :func:`cache_stats` returns a typed :class:`CacheStats`
-snapshot (dict-style access kept for compatibility), the counters are
+snapshot, the counters are
 exported to the process-wide metrics registry under ``cache.*`` via a
 collector, :func:`reset_cache` clears both entries and counters, and
 :func:`configure_cache` turns the memo off or bounds its size.
@@ -36,11 +36,10 @@ collector, :func:`reset_cache` clears both entries and counters, and
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -134,13 +133,7 @@ def spec_key(phases: np.ndarray, options: tuple = ()) -> str:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """One point-in-time snapshot of a cache's counters.
-
-    Supports both attribute access (``stats.hits``) and, for
-    compatibility with the original bare-dict API, dict-style access
-    (``stats["hits"]``, ``"hits" in stats``); :meth:`asdict` returns the
-    plain-dict form used by the ``--cache-stats`` output.
-    """
+    """One point-in-time snapshot of a cache's counters."""
 
     enabled: bool
     entries: int
@@ -149,26 +142,6 @@ class CacheStats:
     misses: int
     evictions: int
     hit_rate: float
-
-    def asdict(self) -> dict[str, Any]:
-        """The snapshot as a plain dict (the legacy ``stats()`` shape)."""
-        return dataclasses.asdict(self)
-
-    def __getitem__(self, key: str) -> Any:
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def __contains__(self, key: object) -> bool:
-        return isinstance(key, str) and hasattr(self, key)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.asdict())
-
-    def keys(self) -> Iterator[str]:
-        # Makes ``dict(stats)`` and ``{**stats}`` work like the old dict.
-        return iter(self.asdict())
 
 
 class MinimizationCache:

@@ -192,9 +192,8 @@ class CompleteDcStage:
     it by listing ``complete_dc`` between ``optimize`` and ``map`` in a
     pipeline config (or ``repro pipeline run --complete-dc``).  Per node
     it proposes DC candidates from random simulation, confirms them
-    exactly with batched shared-solver SAT queries (up to
-    ``DEFAULT_BATCH_SIZE`` candidates per incremental ``solve()``),
-    applies the ``dc_policy`` assignment and rebuilds the cover; nodes
+    exactly with shared-solver SAT queries (one-hot batches of 16
+    candidates per incremental ``solve()``), applies the ``dc_policy`` assignment and rebuilds the cover; nodes
     exhausting the query or conflict budget fall back to the
     window-limited extractor.  With
     ``dc_jobs`` > 1 independent nodes are confirmed in parallel on the

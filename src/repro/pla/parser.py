@@ -62,12 +62,14 @@ def parse_pla(text: str, *, name: str = "pla") -> FunctionSpec:
 
     Raises:
         PlaError: on syntax errors, missing ``.i``/``.o``, plane-length
-            mismatches, or on/off conflicts within the cube list.
+            or name-count mismatches, or on/off conflicts within the cube
+            list.
     """
     num_inputs: int | None = None
     num_outputs: int | None = None
     input_names: tuple[str, ...] = ()
     output_names: tuple[str, ...] = ()
+    names_line = {".ilb": 0, ".ob": 0}
     logic_type = "fd"
     cube_lines: list[tuple[int, str, str]] = []  # (line, inputs, outputs)
 
@@ -91,8 +93,10 @@ def parse_pla(text: str, *, name: str = "pla") -> FunctionSpec:
                 num_outputs = int(parts[1])
             elif directive == ".ilb":
                 input_names = tuple(parts[1:])
+                names_line[directive] = number
             elif directive == ".ob":
                 output_names = tuple(parts[1:])
+                names_line[directive] = number
             elif directive == ".type":
                 logic_type = parts[1]
                 if logic_type not in ("f", "fd", "fr", "fdr"):
@@ -121,6 +125,15 @@ def parse_pla(text: str, *, name: str = "pla") -> FunctionSpec:
         raise PlaError("missing .i or .o directive")
     if num_inputs > 20:
         raise PlaError(f".i {num_inputs} too large for dense representation")
+    for directive, names, count, what in (
+        (".ilb", input_names, num_inputs, "inputs"),
+        (".ob", output_names, num_outputs, "outputs"),
+    ):
+        if names and len(names) != count:
+            raise PlaError(
+                f"line {names_line[directive]}: {directive} lists "
+                f"{len(names)} names for {count} {what}"
+            )
 
     size = 1 << num_inputs
     on_hit = np.zeros((num_outputs, size), dtype=bool)

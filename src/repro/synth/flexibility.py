@@ -18,48 +18,43 @@ don't-care candidates, and SAT queries confirm them exactly:
   confirmed *care* with no query at all — simulation refutes the
   candidate before SAT sees it.
 
-The engine behind :class:`CompleteFlexibilityOracle` is batched and
-incremental:
+:class:`CompleteFlexibilityOracle` runs one query plan:
 
-**Query batching.**  Unconfirmed candidates are grouped and a fresh
-one-hot selector (``s -> OR(cube guards)``) asks the solver whether *any*
-candidate in the batch is reachable (or observable) with a single
-``solve([s])``.  UNSAT confirms the whole batch at once; a SAT model
-names exactly one refuted candidate (the fanin values in the model),
-which is removed before the shrunken batch is re-queried.  Stale
-selectors are simply never assumed again.
+**Query batching.**  Unconfirmed candidates are taken in batches of
+:data:`_BATCH_SIZE` and a fresh one-hot selector (``s -> OR(cube
+guards)``) asks the solver whether *any* candidate in the batch is
+reachable (or observable) with a single ``solve([s])``.  UNSAT confirms
+the whole batch at once; a SAT model names exactly one refuted candidate
+(the fanin values in the model), which is removed before the shrunken
+batch is re-queried.  Stale selectors are simply never assumed again.
 
 **Counterexample recycling.**  Every refuting model is a concrete PI
 vector; it is recorded and — at the next :meth:`flush_recycled` — packed
 into the shared simulation, so sibling candidates across *all* remaining
 nodes are pruned by simulation instead of reaching the solver.
 
-**Encoding and cone caching.**  The network CNF persists across
-rewrites: :meth:`notify_rewrite` bumps a version on every signal in the
-rewritten node's fanout cone and re-encodes only those covers under the
-new versioned names, leaving untouched logic (and all learned clauses)
-in place.  Per-node flip-cone miters are memoized keyed by their
-dependency fingerprint — the cone signals plus its side inputs — and
-evicted only when a rewrite dirties a dependency.
+**Encoding reuse.**  The network CNF persists across rewrites:
+:meth:`notify_rewrite` bumps a version on every signal in the rewritten
+node's fanout cone and re-encodes only those covers under the new
+versioned names, leaving untouched logic (and all learned clauses) in
+place.
 
-**Unchanged results.**  Batching, recycling and caching change *how
-fast* answers arrive, never *which* answers: pattern statuses are exact
-semantic facts, and the per-node query budget is accounted the way the
-original sequential engine would have charged it (one query per
-unobserved-in-the-base-patterns candidate, plus one observability query
-per semantically reachable candidate, classified against the **base**
-pattern set only).  A node therefore falls back to the window-limited
-extractor on exactly the same inputs regardless of batch size, recycled
-patterns, or execution schedule — which is what keeps serial and
-parallel runs of :func:`reassign_complete_dcs` bit-identical.
+**Budget rule.**  A node's query budget is charged one query per
+pattern that is not a care under the **base** simulation patterns, plus
+one per base-unobserved pattern that turns out reachable.  The charge
+depends only on the base patterns and on exact semantic facts, so a
+node falls back to the window-limited extractor on exactly the same
+inputs whatever counterexamples were recycled and whether the pass runs
+serially or in parallel — which is what keeps serial and parallel runs
+of :func:`reassign_complete_dcs` bit-identical.
 
-:func:`reassign_complete_dcs` partitions the topological order into
-contiguous *independent groups* (no member's fanout cone intersects
-another member's support), confirms a group's flexibilities against the
-group-start network state — serially, or fanned out across
-:mod:`repro.perf.pool` workers with work stealing — and applies the
-rewrites sequentially in topological order, so the schedule observed by
-every node is the same in both modes.
+:func:`reassign_complete_dcs` layers the candidate nodes into
+longest-path *waves* (:func:`plan_node_groups`; a node lands one wave
+after the last rewrite that could change its support), confirms a
+wave's flexibilities against the wave-start network state — serially,
+or fanned out across :mod:`repro.perf.pool` workers with work stealing
+— and applies the rewrites sequentially in topological order, so the
+schedule observed by every node is the same in both modes.
 """
 
 from __future__ import annotations
@@ -98,7 +93,7 @@ _FULL_SIM_MAX_PIS = 20
 for the per-rewrite output self-check and the window-limited baseline;
 beyond it only the final miter check and the SAT path remain."""
 
-DEFAULT_BATCH_SIZE = 16
+_BATCH_SIZE = 16
 """Candidates per one-hot selector batch.  Large enough that an UNSAT
 answer confirms a pile of candidates in one solve, small enough that the
 final complete-search UNSAT proof per batch stays shallow (the measured
@@ -114,8 +109,8 @@ once its clause count exceeds this multiple of a fresh encoding's (see
 
 
 class _BudgetExhausted(Exception):
-    """Internal: a node hit its (legacy-accounted) query budget or an
-    inconclusive solve; the caller falls back to the window extractor."""
+    """Internal: a node's query charge passed its budget, or a solve was
+    inconclusive; the caller falls back to the window extractor."""
 
 
 class CompleteFlexibilityOracle:
@@ -129,21 +124,17 @@ class CompleteFlexibilityOracle:
     only sees genuine candidates.
 
     After a node's cover is rewritten, call :meth:`notify_rewrite` — the
-    dirtied cone is re-encoded under fresh signal versions (or, with
-    ``reuse_encodings=False``, the whole encoding is discarded) and the
+    dirtied cone is re-encoded under fresh signal versions and the
     simulation refreshed incrementally.
 
     Attributes:
         network: the analysed network (rewrites allowed between queries
             when announced via :meth:`notify_rewrite`).
-        query_budget: max SAT queries per node under the legacy
-            sequential accounting (``None`` = unlimited); exhausting it
-            makes :meth:`node_flexibility` return ``None``.
+        query_budget: max charged SAT queries per node under the budget
+            rule of the module docstring (``None`` = unlimited);
+            exceeding it makes :meth:`node_flexibility` return ``None``.
         conflict_budget: per-solve conflict cap (``None`` = unlimited);
             an inconclusive solve also returns ``None``.
-        batch_size: candidates per one-hot batch; ``<= 1`` issues one
-            plain cube-assumption query per candidate (the pre-batching
-            engine, kept as the benchmark baseline and fuzz oracle).
     """
 
     def __init__(
@@ -154,18 +145,12 @@ class CompleteFlexibilityOracle:
         rng: np.random.Generator | None = None,
         query_budget: int | None = None,
         conflict_budget: int | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        reuse_encodings: bool = True,
-        recycle_counterexamples: bool = True,
         vectors: np.ndarray | None = None,
         base_vectors: int | None = None,
     ) -> None:
         self.network = network
         self.query_budget = query_budget
         self.conflict_budget = conflict_budget
-        self.batch_size = batch_size
-        self.reuse_encodings = reuse_encodings
-        self.recycle_counterexamples = recycle_counterexamples
         if vectors is None:
             rng = rng or np.random.default_rng(0)
             vectors = (
@@ -187,8 +172,6 @@ class CompleteFlexibilityOracle:
         self._base_mask = self._make_base_mask(vectors.shape[0])
         self._builder: CnfBuilder | None = None
         self._version: dict[str, int] = {}
-        self._any_diff: dict[str, int] = {}
-        self._flip_deps: dict[str, frozenset[str]] = {}
         self._flip_count = 0
         self._restarts_seen = 0
         self._fresh_clauses = 0
@@ -268,23 +251,14 @@ class CompleteFlexibilityOracle:
     def notify_rewrite(self, node_name: str) -> None:
         """Announce that *node_name*'s cover changed.
 
-        With ``reuse_encodings`` the rewritten fanout cone is re-encoded
-        under fresh signal versions — untouched logic and all learned
-        clauses persist — and only flip-cone miters whose dependency
-        fingerprint includes a dirtied signal are evicted.  Otherwise the
-        whole encoding is discarded (the pre-caching engine).  The node's
-        simulation cone is refreshed in place either way.
+        The rewritten fanout cone is re-encoded under fresh signal
+        versions — untouched logic and all learned clauses persist — and
+        the node's simulation cone is refreshed in place.
         """
         self.sim.recompute(node_name)
         if self._builder is None:
             return
-        if not self.reuse_encodings:
-            self._builder = None
-            self._any_diff.clear()
-            self._flip_deps.clear()
-            return
         dirty = self.network.fanout_cone(node_name)
-        dirty_set = set(dirty)
         for signal in dirty:
             self._version[signal] = self._version.get(signal, 0) + 1
         builder = self._builder
@@ -296,11 +270,6 @@ class CompleteFlexibilityOracle:
                 node.cover,
             )
         obs_metrics.counter("sat.reencoded_nodes").inc(len(dirty))
-        for cached in list(self._any_diff):
-            if self._flip_deps[cached] & dirty_set:
-                del self._any_diff[cached]
-                del self._flip_deps[cached]
-                obs_metrics.counter("sat.cone_cache_evictions").inc()
 
     # -------------------------------------------------------------- encoding
 
@@ -339,30 +308,17 @@ class CompleteFlexibilityOracle:
         between nodes: mid-node state (fanin variables, guards, miters)
         always refers to one builder generation.
         """
-        if self._builder is None or not self.reuse_encodings:
+        if self._builder is None:
             return
         if len(self._builder.solver.clauses) > _GC_FACTOR * max(
             self._fresh_clauses, 1
         ):
             self._builder = None
-            self._any_diff.clear()
-            self._flip_deps.clear()
             obs_metrics.counter("sat.encoding_compactions").inc()
 
-    def _ensure_flip(self, node_name: str) -> int:
-        """The node's any-PO-differs miter variable, memoized.
-
-        The cache key is the dependency fingerprint of the flip cone —
-        the cone signals plus every side input its covers read — kept
-        implicitly: :meth:`notify_rewrite` evicts entries whose
-        fingerprint gained a dirtied signal, so a present entry is always
-        current.
-        """
-        cached = self._any_diff.get(node_name)
-        if cached is not None:
-            obs_metrics.counter("sat.cone_cache_hits").inc()
-            return cached
-        obs_metrics.counter("sat.cone_cache_misses").inc()
+    def _encode_flip(self, node_name: str) -> int:
+        """Add the node's flipped fanout cone under a fresh ``F<i>_``
+        prefix and return its any-PO-differs miter variable."""
         builder = self._ensure_builder()
         cone = self.network.fanout_cone(node_name)  # includes node_name
         cone_set = set(cone)
@@ -378,18 +334,12 @@ class CompleteFlexibilityOracle:
         flipped = builder.var(prefix + node_name)
         builder.add_clause([original, flipped])
         builder.add_clause([-original, -flipped])
-        deps = set(cone_set)
         for name in cone:
             if name == node_name:
                 continue
             node = self.network.nodes[name]
             builder.encode_sop(
                 flip_name(name), [flip_name(f) for f in node.fanins], node.cover
-            )
-            deps.update(
-                f
-                for f in node.fanins
-                if f not in self.network.primary_inputs
             )
         difference_vars = []
         for signal in self.network.outputs.values():
@@ -402,8 +352,6 @@ class CompleteFlexibilityOracle:
             difference_vars.append(diff)
         any_diff = builder.solver.new_var()
         builder.encode_or(any_diff, difference_vars)
-        self._any_diff[node_name] = any_diff
-        self._flip_deps[node_name] = frozenset(deps)
         return any_diff
 
     # --------------------------------------------------------------- queries
@@ -449,26 +397,15 @@ class CompleteFlexibilityOracle:
         """Decide every candidate cube: returns the refuted (SAT) ones.
 
         *extra* literals are assumed on every query (the observability
-        ``any_diff``).  *charge_refutation* is invoked per refutation for
-        the legacy budget accounting and may raise
-        :class:`_BudgetExhausted`; an inconclusive solve raises it too.
+        ``any_diff``).  *charge_refutation* is invoked per refutation to
+        charge the node's budget and may raise :class:`_BudgetExhausted`;
+        an inconclusive solve raises it too.
         """
         builder = self._ensure_builder()
         refuted: set[int] = set()
-        if self.batch_size <= 1:
-            for pattern in patterns:
-                sat, model = self._solve(
-                    self._cube_literals(fanin_vars, pattern) + list(extra)
-                )
-                if sat is None:
-                    raise _BudgetExhausted
-                if sat:
-                    refuted.add(pattern)
-                    self._refuted(builder, model, pattern, charge_refutation)
-            return refuted
         pending_all = list(patterns)
-        for start in range(0, len(pending_all), self.batch_size):
-            pending = pending_all[start:start + self.batch_size]
+        for start in range(0, len(pending_all), _BATCH_SIZE):
+            pending = pending_all[start:start + _BATCH_SIZE]
             while pending:
                 for pattern in pending:
                     if pattern not in guards:
@@ -478,7 +415,6 @@ class CompleteFlexibilityOracle:
                 selector = builder.encode_selector(
                     [guards[pattern] for pattern in pending]
                 )
-                obs_metrics.counter("sat.batch_queries").inc()
                 sat, model = self._solve(list(extra) + [selector])
                 if sat is None:
                     raise _BudgetExhausted
@@ -494,15 +430,10 @@ class CompleteFlexibilityOracle:
                     )
                 pending.remove(pattern)
                 refuted.add(pattern)
-                obs_metrics.counter("sat.batch_refutations").inc()
-                self._refuted(builder, model, pattern, charge_refutation)
+                self.record_counterexamples([self._model_row(builder, model)])
+                if charge_refutation is not None:
+                    charge_refutation(pattern)
         return refuted
-
-    def _refuted(self, builder, model, pattern, charge_refutation) -> None:
-        if self.recycle_counterexamples:
-            self.record_counterexamples([self._model_row(builder, model)])
-        if charge_refutation is not None:
-            charge_refutation(pattern)
 
     def node_flexibility(self, node_name: str) -> FunctionSpec | None:
         """The node's complete local flexibility, or ``None`` on budget
@@ -526,7 +457,7 @@ class CompleteFlexibilityOracle:
         # --- Simulation phase: observed patterns and sim-proven cares.
         # The *_any views include recycled counterexamples (they prune
         # solver work); the *_base views see only the base pattern set
-        # and drive the legacy-equivalent budget accounting.
+        # and drive the budget charge.
         masks = pk.pattern_masks(
             [self.sim.values[fanin] for fanin in node.fanins],
             self.num_vectors,
@@ -538,10 +469,8 @@ class CompleteFlexibilityOracle:
         observed_base = np.any(masks & self._base_mask, axis=1)
         care_base = np.any(care_masks & self._base_mask, axis=1)
 
-        # Legacy charge — what the sequential single-query engine would
-        # have spent: one query per non-base-care pattern (reachability if
-        # base-unobserved, else observability), plus a second for every
-        # base-unobserved pattern that turns out semantically reachable.
+        # Budget charge: one query per pattern that is not a base care,
+        # plus one per base-unobserved pattern that turns out reachable.
         # Reachability is known up front when a recycled vector witnesses
         # it; SDC refutations below add the rest as they are discovered.
         budget = self.query_budget
@@ -582,7 +511,7 @@ class CompleteFlexibilityOracle:
                 and (observed_any[p] or p in reachable_extra)
             ]
             any_diff = (
-                self._ensure_flip(node_name) if odc_candidates else None
+                self._encode_flip(node_name) if odc_candidates else None
             )
             observable_extra = self._resolve_candidates(
                 odc_candidates, fanin_vars,
@@ -716,8 +645,6 @@ class _GroupPayload:
     base_vectors: int
     query_budget: int | None
     conflict_budget: int | None
-    batch_size: int
-    recycle_counterexamples: bool
 
 
 def _support_subnetwork(
@@ -773,8 +700,6 @@ def _confirm_node_task(payload: _GroupPayload, name: str):
         base_vectors=payload.base_vectors,
         query_budget=payload.query_budget,
         conflict_budget=payload.conflict_budget,
-        batch_size=payload.batch_size,
-        recycle_counterexamples=payload.recycle_counterexamples,
     )
     spec = oracle.node_flexibility(name)
     rows = []
@@ -836,9 +761,6 @@ def reassign_complete_dcs(
     window_levels: int = 2,
     rng: np.random.Generator | None = None,
     jobs: int = 1,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    reuse_encodings: bool = True,
-    recycle_counterexamples: bool = True,
     progress=None,
 ) -> CompleteDcReport:
     """Reassign every node's *complete* internal DCs for reliability.
@@ -850,14 +772,14 @@ def reassign_complete_dcs(
     chosen policy assigns the confirmed flexibility, and ESPRESSO
     rebuilds the cover.
 
-    Nodes are scheduled as contiguous independent groups of the
-    topological order (:func:`plan_node_groups`): a group's flexibilities
-    are confirmed against the group-start network — serially or, with
-    ``jobs > 1``, fanned out across the warm worker pool — and the
-    rewrites applied sequentially, so every node sees flexibilities
-    consistent with all earlier decisions and the result is bit-identical
-    to the strictly sequential schedule (and to the parallel one; see the
-    module docstring).
+    Nodes are scheduled in longest-path waves of independent nodes
+    (:func:`plan_node_groups`): a wave's flexibilities are confirmed
+    against the wave-start network — serially or, with ``jobs > 1``,
+    fanned out across the warm worker pool — and the rewrites applied
+    sequentially, so every node sees flexibilities consistent with all
+    earlier decisions and the result is bit-identical to the strictly
+    sequential schedule (and to the parallel one; see the module
+    docstring).
 
     A node that exhausts *query_budget* or *conflict_budget* falls back
     to the window-limited extractor (depth *window_levels*) when the PI
@@ -885,11 +807,7 @@ def reassign_complete_dcs(
         conflict_budget: per-solve conflict cap (``None`` = unlimited).
         window_levels: fanout-window depth of the fallback extractor.
         rng: random generator for the simulation phase.
-        jobs: worker processes for group confirmation (``1`` = serial).
-        batch_size: candidates per one-hot SAT batch (``1`` = unbatched).
-        reuse_encodings: keep the CNF across rewrites (versioned cones).
-        recycle_counterexamples: feed refuting models back into the
-            proposal simulation at group boundaries.
+        jobs: worker processes for wave confirmation (``1`` = serial).
         progress: optional ``(done, total)`` callback over considered
             nodes.
 
@@ -920,9 +838,6 @@ def reassign_complete_dcs(
         rng=rng,
         query_budget=query_budget,
         conflict_budget=conflict_budget,
-        batch_size=batch_size,
-        reuse_encodings=reuse_encodings,
-        recycle_counterexamples=recycle_counterexamples,
     )
     candidates = []
     for name in network.topological_order():
@@ -967,8 +882,6 @@ def reassign_complete_dcs(
                     base_vectors=oracle.base_vectors,
                     query_budget=query_budget,
                     conflict_budget=conflict_budget,
-                    batch_size=batch_size,
-                    recycle_counterexamples=recycle_counterexamples,
                 )
                 base_done = done
                 sub_progress = None

@@ -248,6 +248,16 @@ class TestCliPipeline:
          '{"stage": "measure", "params": {"fault_model": '
          '{"model": "multibit", "k": 99}}}]}',
          "distance must lie in [1, 6], got 99"),
+        ('{"params": {"dc_policy": "magic"}, "stages": ["assign", '
+         '"espresso", "optimize", "complete_dc", "map", "tune", "measure"]}',
+         "unknown dc_policy 'magic'"),
+        ('{"stages": ["assign", "espresso", "optimize", {"stage": '
+         '"complete_dc", "params": {"dc_vectors": 0}}, "map", "tune", '
+         '"measure"]}',
+         "dc_vectors must be an integer >= 1, got 0"),
+        ('{"params": {"dc_window": 0}, "stages": ["assign", "espresso", '
+         '"optimize", "complete_dc", "map", "tune", "measure"]}',
+         "dc_window must be an integer >= 1, got 0"),
     ])
     def test_run_bad_config_is_one_line(self, pla_file, tmp_path, text, message):
         path = tmp_path / "flow.json"
@@ -301,6 +311,20 @@ class TestCliExtensions:
         assert "complete DC minterms" in out
         assert "SAT fallback nodes" in out
         assert "internal error before" in out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sat", "--dc-window", "0"], "--dc-window: must be at least 1"),
+        (["--sat", "--dc-window", "-1"], "--dc-window: must be at least 1"),
+        (["--renode", "--k", "0"], "--k: must be at least 2"),
+    ])
+    def test_nodal_bad_width_is_a_usage_error(self, pla_file, flags, message,
+                                              capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["nodal", pla_file, *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_synth_verilog(self, pla_file, tmp_path, capsys):
         out_v = str(tmp_path / "out.v")

@@ -69,12 +69,12 @@ class TestCacheMechanics:
         cache.put("a", 1)
         assert cache.get("a") is None
         assert len(cache) == 0
-        assert cache.stats()["hits"] == 0
+        assert cache.stats().hits == 0
 
     def test_stats_shape(self):
         stats = cache_stats()
         for field in ("enabled", "entries", "hits", "misses", "evictions", "hit_rate"):
-            assert field in stats
+            assert hasattr(stats, field)
 
     def test_stats_is_typed_dataclass(self):
         cache = MinimizationCache(maxsize=8)
@@ -88,20 +88,6 @@ class TestCacheMechanics:
         assert stats.entries == 1
         assert stats.maxsize == 8
         assert stats.hit_rate == pytest.approx(0.5)
-
-    def test_stats_dict_compat(self):
-        # Pre-existing callers index stats like a dict; both views agree.
-        stats = MinimizationCache().stats()
-        as_dict = stats.asdict()
-        assert as_dict["hits"] == stats.hits == stats["hits"]
-        assert set(as_dict) == {
-            "enabled", "entries", "maxsize", "hits", "misses",
-            "evictions", "hit_rate",
-        }
-        assert dict(stats) == {key: stats[key] for key in as_dict}
-        with pytest.raises(KeyError):
-            stats["nope"]
-        assert "hit_rate" in stats
 
     def test_stats_reports_into_global_metrics(self):
         from repro.obs import metrics_snapshot
@@ -120,9 +106,9 @@ class TestEspressoMemo:
         on = Cover.from_minterms(5, [1, 3, 7, 12, 19])
         dc = Cover.from_minterms(5, [4, 9])
         first = espresso(on, dc)
-        before = cache_stats()["hits"]
+        before = cache_stats().hits
         second = espresso(on, dc)
-        assert cache_stats()["hits"] == before + 1
+        assert cache_stats().hits == before + 1
         assert second is first  # shared, read-only result
         assert not second.cubes.flags.writeable
 
@@ -143,9 +129,9 @@ class TestEspressoMemo:
             4, on_sets=[[1, 3], [0, 2]], dc_sets=[[5], []], name="b"
         )
         first = minimize_spec(spec_a)
-        hits_before = cache_stats()["hits"]
+        hits_before = cache_stats().hits
         second = minimize_spec(spec_b)
-        assert cache_stats()["hits"] > hits_before
+        assert cache_stats().hits > hits_before
         # Memoised covers, but the caller's spec identity is preserved.
         assert second.spec is spec_b
         assert spec_b.equivalent_within_dc(second.completed_spec())
@@ -157,5 +143,5 @@ class TestEspressoMemo:
         result1 = espresso(on)
         result2 = espresso(on)
         assert np.array_equal(result1.cubes, result2.cubes)
-        assert cache_stats()["hits"] == 0
+        assert cache_stats().hits == 0
         assert len(global_cache) == 0

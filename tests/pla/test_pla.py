@@ -102,6 +102,12 @@ class TestParser:
         with pytest.raises(PlaError, match="^line 2: unsupported directive '.mv'"):
             parse_pla(".i 2\n.mv 3\n.o 1\n")
 
+    def test_name_count_mismatch(self):
+        with pytest.raises(PlaError, match="^line 3: .ilb lists 2 names for 4"):
+            parse_pla(".i 4\n.o 1\n.ilb a b\n")
+        with pytest.raises(PlaError, match="^line 4: .ob lists 2 names for 1"):
+            parse_pla(".i 2\n.o 1\n\n.ob f g\n")
+
     def test_joined_planes(self):
         spec = parse_pla(".i 2\n.o 1\n111\n.e\n")
         assert list(spec.on_set(0)) == [3]
@@ -130,3 +136,60 @@ class TestWriter:
         phases = rng.integers(0, 3, size=(m, 1 << n)).astype(np.uint8)
         spec = FunctionSpec(phases)
         assert parse_pla(spec_to_pla(spec)) == spec
+
+
+_NAME = st.text("abcxyz019_[]", min_size=1, max_size=4)
+_SOUP_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from([".i", ".o", ".p", ".type", ".ilb", ".ob", ".mv"]),
+        st.lists(
+            st.sampled_from(["0", "1", "2", "3", "5", "-1", "x", "f", "fd",
+                             "fr", "fdr", "a", "b"]),
+            max_size=4,
+        ),
+    ).map(lambda t: " ".join([t[0], *t[1]])),
+    st.sampled_from([".e", ".end", "", "# note", ".i 2 # c"]),
+    st.lists(st.text("01-2~34x", max_size=6), min_size=1, max_size=3)
+    .map(" ".join),
+)
+
+
+_HEADER = st.lists(
+    st.sampled_from([".i 0", ".i 1", ".i 2", ".i 3", ".o 1", ".o 2",
+                     ".ilb a b", ".ob f"]),
+    max_size=4,
+)
+
+
+class TestFuzz:
+    @given(_HEADER, st.lists(_SOUP_LINE, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_soup_raises_only_pla_error(self, header, lines):
+        """Directive and cube soup either parses or fails as PlaError,
+        never with another exception type."""
+        try:
+            spec = parse_pla("\n".join(header + lines))
+        except PlaError:
+            return
+        assert isinstance(spec, FunctionSpec)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_keeps_phases_and_names(self, data):
+        n = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(1, 3))
+        phases = data.draw(
+            st.lists(st.sampled_from([OFF, ON, DC]), min_size=m << n,
+                     max_size=m << n)
+        )
+        spec = FunctionSpec(
+            np.array(phases, dtype=np.uint8).reshape(m, 1 << n),
+            input_names=tuple(data.draw(
+                st.lists(_NAME, min_size=n, max_size=n))),
+            output_names=tuple(data.draw(
+                st.lists(_NAME, min_size=m, max_size=m))),
+        )
+        again = parse_pla(spec_to_pla(spec))
+        np.testing.assert_array_equal(again.phases, spec.phases)
+        assert again.input_names == spec.input_names
+        assert again.output_names == spec.output_names

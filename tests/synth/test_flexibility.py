@@ -67,15 +67,20 @@ class TestOracle:
     def test_shared_oracle_matches_exhaustive(self, seed):
         """One oracle across every node of a network — learned clauses
         accumulate in the shared solver — still agrees with the
-        exhaustive extractor node for node."""
-        net = random_multilevel(seed)
-        oracle = CompleteFlexibilityOracle(
-            net, simulation_vectors=64, rng=np.random.default_rng(seed)
-        )
-        for name in list(net.nodes):
-            exact = node_flexibility(net, name)
-            shared = oracle.node_flexibility(name)
-            np.testing.assert_array_equal(shared.phases, exact.phases, err_msg=name)
+        exhaustive extractor node for node.  16 simulation vectors leave
+        more candidates to the batched SAT queries than 64 do."""
+        for vectors in (16, 64):
+            net = random_multilevel(seed)
+            oracle = CompleteFlexibilityOracle(
+                net, simulation_vectors=vectors,
+                rng=np.random.default_rng(seed),
+            )
+            for name in list(net.nodes):
+                exact = node_flexibility(net, name)
+                shared = oracle.node_flexibility(name)
+                np.testing.assert_array_equal(
+                    shared.phases, exact.phases, err_msg=f"{vectors} {name}"
+                )
 
     def test_query_budget_triggers_fallback(self):
         net = random_multilevel(11)
@@ -189,46 +194,12 @@ def _network_snapshot(net: LogicNetwork) -> dict:
     }
 
 
-class TestBatching:
-    @given(st.integers(0, 10**9))
-    @settings(max_examples=8, deadline=None)
-    def test_batched_matches_single_query(self, seed):
-        """One-hot selector batching is a pure query-plan change: the
-        confirmed flexibility must equal the one-cube-per-solve path."""
-        single_net = random_multilevel(seed)
-        batched_net = random_multilevel(seed)
-        single = CompleteFlexibilityOracle(
-            single_net, simulation_vectors=16,
-            rng=np.random.default_rng(seed), batch_size=1,
-        )
-        batched = CompleteFlexibilityOracle(
-            batched_net, simulation_vectors=16,
-            rng=np.random.default_rng(seed), batch_size=16,
-        )
-        for name in list(single_net.nodes):
-            np.testing.assert_array_equal(
-                batched.node_flexibility(name).phases,
-                single.node_flexibility(name).phases,
-                err_msg=name,
-            )
-
-    def test_batch_queries_counted(self):
-        net = random_multilevel(13)
-        before = obs_metrics.counter("sat.batch_queries").value
-        oracle = CompleteFlexibilityOracle(
-            net, simulation_vectors=4, batch_size=8
-        )
-        for name in list(net.nodes):
-            oracle.node_flexibility(name)
-        assert obs_metrics.counter("sat.batch_queries").value > before
-
-
 def _ballasted_network() -> LogicNetwork:
     """g,t,y,u plus a large ballast SOP.
 
     The ballast keeps the fresh encoding big enough that one extra flip
-    copy stays under the compaction threshold, so the flip-cone cache's
-    hit/evict behaviour is observable instead of being reset by GC.
+    copy stays under the compaction threshold, so later queries run
+    against the versioned encoding instead of a fresh one.
     """
     net = LogicNetwork(["a", "b", "c", "d", "e"])
     net.add_node("g", ["c"], Cover.from_strings(["1"]))
@@ -245,36 +216,28 @@ def _ballasted_network() -> LogicNetwork:
     return net
 
 
-class TestConeCache:
-    def test_rewrite_evicts_only_dirty_cones(self):
-        """notify_rewrite must invalidate the cached flip-cone encodings
-        of the rewritten node's fanout cone — and nothing else."""
+class TestVersionedEncoding:
+    def test_rewrite_reencodes_dirty_cone(self):
+        """After notify_rewrite the kept encoding answers for the new
+        network in the rewritten cone and stays right outside it."""
         net = _ballasted_network()
         oracle = CompleteFlexibilityOracle(net, simulation_vectors=2)
-        misses = obs_metrics.counter("sat.cone_cache_misses").value
-        for name in ("t", "u"):
-            oracle.node_flexibility(name)
-        assert obs_metrics.counter("sat.cone_cache_misses").value > misses
-        evictions = obs_metrics.counter("sat.cone_cache_evictions").value
-        hits = obs_metrics.counter("sat.cone_cache_hits").value
+        before_u = oracle.node_flexibility("u")
+        oracle.node_flexibility("t")
         net.nodes["g"].cover = Cover.empty(1)
         net.invalidate_structure_caches()
         oracle.notify_rewrite("g")
-        # t's flip cone reads g (through y) — evicted; u's does not.
-        assert obs_metrics.counter("sat.cone_cache_evictions").value > evictions
+        # t's flip cone reads g (through y); u's does not.
         assert list(oracle.node_flexibility("t").dc_set(0)) == [0, 1, 2, 3]
-        oracle.node_flexibility("u")
-        assert obs_metrics.counter("sat.cone_cache_hits").value > hits
+        np.testing.assert_array_equal(
+            oracle.node_flexibility("u").phases, before_u.phases
+        )
 
-    def test_cache_hit_on_repeat_query(self):
+    def test_repeat_query_same_phases(self):
         net = _ballasted_network()
         oracle = CompleteFlexibilityOracle(net, simulation_vectors=2)
-        misses = obs_metrics.counter("sat.cone_cache_misses").value
         first = oracle.node_flexibility("t")
-        assert obs_metrics.counter("sat.cone_cache_misses").value > misses
-        hits = obs_metrics.counter("sat.cone_cache_hits").value
         again = oracle.node_flexibility("t")
-        assert obs_metrics.counter("sat.cone_cache_hits").value > hits
         np.testing.assert_array_equal(first.phases, again.phases)
 
 
