@@ -13,8 +13,9 @@ import numpy as np
 
 from repro.benchgen.synthetic import generate_spec
 from repro.espresso.minimize import minimize_spec
+from repro.faults import NodeFlip
 from repro.synth.network import LogicNetwork
-from repro.synth.odc import internal_error_rate, node_flexibility, reassign_internal_dcs
+from repro.synth.odc import node_flexibility, reassign_internal_dcs
 from repro.synth.optimize import optimize_network
 
 
@@ -40,7 +41,7 @@ def main() -> None:
                   f"(SDC + ODC)")
             shown += 1
 
-    before = internal_error_rate(network)
+    before = NodeFlip().network_error_rate(network)
     report = reassign_internal_dcs(network, policy="cfactor", threshold=0.6)
     print(f"\ninternal error rate (flip of a random node propagates):")
     print(f"  before reassignment: {report.error_rate_before:.4f}")

@@ -67,7 +67,7 @@ from .core.complexity import spec_complexity_factor, spec_expected_complexity_fa
 from .core.estimates import estimate_report
 from .core.reliability import exact_error_bounds
 from .core.spec import FunctionSpec
-from .flows.experiment import POLICIES, apply_policy, relative_metrics, run_flow
+from .flows.experiment import POLICIES, apply_policy, flow_result, relative_metrics
 from .flows.report import format_table
 from .pla import PlaError, read_pla, write_pla
 
@@ -211,28 +211,27 @@ def _cmd_assign(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .pipeline import Pipeline, default_config
+
     spec = _load_spec(args.benchmark)
-    assigned, _ = apply_policy(
-        spec, args.policy, fraction=args.fraction, threshold=args.threshold
-    )
-    result = run_flow(
-        spec,
+    config = default_config(
         args.policy,
         fraction=args.fraction,
         threshold=args.threshold,
         objective=args.objective,
     )
+    ctx = Pipeline.from_config(config).run(spec=spec)
+    result = flow_result(ctx)
     session = getattr(args, "_obs_session", None)
     if session is not None:
         session.record_quality([result])
     if args.verilog:
-        from .synth.compile_ import compile_spec
         from .synth.verilog import write_verilog
 
-        synthesis = compile_spec(
-            assigned, objective=args.objective, source_spec=spec
+        write_verilog(
+            ctx.require("synthesis").netlist, args.verilog,
+            module_name=spec.name,
         )
-        write_verilog(synthesis.netlist, args.verilog, module_name=spec.name)
         print(f"wrote {args.verilog}")
     rows = [
         ["area", result.area],
@@ -390,42 +389,70 @@ def _with_complete_dc_stage(config: dict) -> dict:
     return {**config, "stages": stages}
 
 
-def _check_config_params(config: dict, num_inputs: int) -> None:
-    """Check the params a pipeline config sets, pipeline- or stage-wide.
+_UNIT = (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]")
+_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_PARAM_RULES = {
+    "fraction": _UNIT, "threshold": _UNIT,
+    "dc_vectors": _COUNT, "dc_window": _COUNT, "dc_jobs": _COUNT,
+    "optimize": (lambda v: type(v) is bool, "true or false"),
+    "library": (lambda v: v is None, "null in a config"),
+}
+"""Pipeline parameter -> (value predicate, what the value must be)."""
 
-    Every ``fault_model`` (name, parameters, width against the spec) and
-    the ``complete_dc`` knobs ``dc_policy``, ``dc_window`` and
-    ``dc_vectors`` are checked before the first stage runs, so a bad
-    value fails the command up front instead of stages later.
+
+def _check_param(name: str, value, num_inputs: int) -> None:
+    """Check one pipeline parameter's value (its name is already known)."""
+    from .faults import create_fault_model
+    from .pipeline import validate_objective
+
+    if name in ("policy", "dc_policy") and value not in POLICIES:
+        raise ValueError(f"unknown {name} {value!r}; choose from {POLICIES}")
+    if name == "objective":
+        validate_objective(value)
+    # The measure stage reads a falsy fault_model as the default model.
+    if name == "fault_model" and value:
+        create_fault_model(value).check_width(num_inputs)
+    accepts, expected = _PARAM_RULES.get(name, (None, ""))
+    if accepts is not None and not accepts(value):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+def _check_config_params(config: dict, num_inputs: int) -> None:
+    """Check a pipeline config's shape and every param it sets.
+
+    Runs before the first stage: :meth:`Pipeline.from_config` checks the
+    stage list and its entries; then every parameter set pipeline- or
+    stage-wide must be declared by some registered stage (or be the
+    undeclared execution knob ``dc_jobs``) and hold a value the stage
+    accepts — ``fault_model`` also against the spec's width.  A bad
+    config therefore fails the command up front, in one line, instead
+    of as a traceback or silently stages later.
 
     Raises:
-        ValueError: naming the first bad parameter.
+        ValueError: naming the first bad entry or parameter.
+        KeyError: naming the first unknown stage.
     """
-    from .faults import create_fault_model
+    from .pipeline import Pipeline, registered_stages
 
-    scopes = [config.get("params") or {}]
-    scopes += [
-        entry.get("params") or {}
-        for entry in config["stages"] if isinstance(entry, dict)
-    ]
+    pipe = Pipeline.from_config(config)
+    known = {"dc_jobs"}.union(
+        *(stage.params for stage in registered_stages().values())
+    )
+    scopes = [pipe.params]
+    scopes += [getattr(stage, "overrides", {}) for stage in pipe.stages]
     for scope in scopes:
-        if scope.get("fault_model"):
-            create_fault_model(scope["fault_model"]).check_width(num_inputs)
-        policy = scope.get("dc_policy", POLICIES[0])
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown dc_policy {policy!r}; choose from {POLICIES}"
-            )
-        for key in ("dc_window", "dc_vectors"):
-            value = scope.get(key, 1)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        for name, value in scope.items():
+            if name not in known:
+                raise ValueError(
+                    f"unknown parameter {name!r}; stage parameters: "
+                    f"{sorted(known)}"
+                )
+            _check_param(name, value, num_inputs)
 
 
 def _cmd_pipeline_run(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from .flows.experiment import flow_result
     from .flows.report import format_table
     from .obs import metrics as obs_metrics
     from .pipeline import CheckpointStore, Pipeline, default_config, load_config
@@ -444,16 +471,17 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
                 threshold=args.threshold,
                 objective=args.objective,
             )
+        _check_config_params(config, spec.num_inputs)
         if getattr(args, "complete_dc", False):
             config = _with_complete_dc_stage(config)
         dc_jobs = _resolve_jobs_arg(getattr(args, "dc_jobs", "1"))
         if dc_jobs != 1:
             config = {
                 **config,
-                "params": {**config.get("params", {}), "dc_jobs": dc_jobs},
+                "params": {**(config.get("params") or {}), "dc_jobs": dc_jobs},
             }
         pipe = Pipeline.from_config(config, checkpoint=checkpoint)
-        _check_config_params(config, spec.num_inputs)
+        pipe.validate(["spec"])
     except (ValueError, KeyError) as error:
         raise SystemExit(f"pipeline: {error.args[0]}") from None
     ran_before = obs_metrics.counter("pipeline.stages_run").value

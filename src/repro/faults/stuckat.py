@@ -9,8 +9,9 @@ incremental fanout-cone engine
 fault re-evaluates only the faulted node's fanout cone, so a whole
 network sweep costs ``O(sum of cone sizes)`` node evaluations.
 
-:class:`NodeFlip` is the existing internal-error metric of
-:func:`repro.synth.odc.internal_error_rate` expressed as a fault model;
+:class:`NodeFlip` is the internal error rate of the nodal-decomposition
+passes (:mod:`repro.synth.odc`, :mod:`repro.synth.flexibility`), which
+report its network sweep before and after reassignment;
 :class:`StuckAtNode` forces a node to a constant 0/1, which is only
 *excited* on vectors where the fault-free value differs — the packed
 constant-force evaluation handles that masking for free.
@@ -107,9 +108,9 @@ class _NodeScopeModel(FaultModel):
 class NodeFlip(_NodeScopeModel):
     """An internal node's value is complemented on every vector.
 
-    The fault model behind the nodal-decomposition metric
-    (:func:`repro.synth.odc.internal_error_rate`): its exhaustive rate
-    matches that function exactly.
+    The fault model behind the nodal-decomposition metric: both
+    internal-DC reassignment passes report its exhaustive
+    :meth:`network_error_rate` before and after rewriting.
     """
 
     name = "node_flip"

@@ -27,11 +27,11 @@ import numpy as np
 
 from ..core.cfactor import DEFAULT_THRESHOLD
 from ..core.montecarlo import MonteCarloEstimate, estimate_error_rate
+from ..core.policy import POLICIES, apply_policy
 from ..core.spec import FunctionSpec
 from ..obs import metrics as obs_metrics
 from ..obs import span
 from ..pipeline import DEFAULT_STAGES, CheckpointStore, FlowContext, Pipeline
-from ..pipeline.stages import POLICIES, apply_policy
 from ..sim.engine import packed_netlist_evaluator
 from ..synth.library import Library
 from ..synth.netlist import MappedNetlist

@@ -130,22 +130,35 @@ class Pipeline:
         """Build a pipeline from a declarative (JSON-compatible) config.
 
         Raises:
-            ValueError: on malformed configs (missing/empty ``stages``,
-                unknown entry shapes).
+            ValueError: on malformed configs (``stages`` missing, empty or
+                not a list, unknown entry shapes, ``params`` that are not
+                dicts).
             KeyError: on unknown stage names.
         """
         if not isinstance(config, dict):
             raise ValueError(f"pipeline config must be a dict, got {type(config).__name__}")
         entries = config.get("stages")
+        if entries is not None and not isinstance(entries, list):
+            raise ValueError(
+                f"'stages' must be a list of stage entries, got "
+                f"{type(entries).__name__}"
+            )
         if not entries:
             raise ValueError("pipeline config needs a non-empty 'stages' list")
+        params = _params_dict(config.get("params"), "'params'")
         stages: list[Stage] = []
         for entry in entries:
             if isinstance(entry, str):
                 stages.append(get_stage(entry))
-            elif isinstance(entry, dict) and "stage" in entry:
+            elif (
+                isinstance(entry, dict)
+                and isinstance(entry.get("stage"), str)
+                and set(entry) <= {"stage", "params"}
+            ):
                 stage = get_stage(entry["stage"])
-                overrides = entry.get("params") or {}
+                overrides = _params_dict(
+                    entry.get("params"), f"params of stage {stage.name!r}"
+                )
                 stages.append(
                     _OverlaidStage(stage, overrides) if overrides else stage
                 )
@@ -157,7 +170,7 @@ class Pipeline:
         return cls(
             stages,
             name=str(config.get("name", "pipeline")),
-            params=config.get("params") or {},
+            params=params,
             checkpoint=checkpoint,
         )
 
@@ -275,6 +288,15 @@ class Pipeline:
         """One dict per stage (name, inputs, outputs, params, version,
         summary)."""
         return [describe_stage(stage) for stage in self.stages]
+
+
+def _params_dict(params: Any, label: str) -> dict[str, Any]:
+    """*params* as a dict (``None`` reads as empty), else ``ValueError``."""
+    if params is None:
+        return {}
+    if not isinstance(params, dict):
+        raise ValueError(f"{label} must be an object, got {type(params).__name__}")
+    return params
 
 
 def default_config(

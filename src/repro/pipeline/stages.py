@@ -41,12 +41,8 @@ these stages into a pipeline (see :mod:`repro.pipeline.pipeline`).
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.assignment import Assignment
-from ..core.cfactor import DEFAULT_THRESHOLD, cfactor_assignment
-from ..core.ranking import complete_assignment, ranking_assignment
-from ..core.spec import FunctionSpec
+from ..core.cfactor import DEFAULT_THRESHOLD
+from ..core.policy import POLICIES, apply_policy
 from ..espresso.minimize import minimize_spec
 from ..obs import metrics as obs_metrics
 from ..obs import span
@@ -74,37 +70,8 @@ __all__ = [
     "validate_objective",
 ]
 
-POLICIES = ("conventional", "ranking", "cfactor", "complete")
-"""The four assignment policies of the evaluation."""
-
 OBJECTIVES = ("delay", "power", "area")
 """The synthesis objectives mirroring the paper's compile scripts."""
-
-
-def apply_policy(
-    spec: FunctionSpec,
-    policy: str,
-    *,
-    fraction: float = 1.0,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> tuple[FunctionSpec, Assignment]:
-    """Produce the (partially) assigned spec for a policy.
-
-    Raises:
-        ValueError: on unknown policy names.
-    """
-    if policy == "conventional":
-        assignment = Assignment()
-    elif policy == "ranking":
-        assignment = ranking_assignment(spec, fraction)
-    elif policy == "cfactor":
-        assignment = cfactor_assignment(spec, threshold)
-    elif policy == "complete":
-        assignment = complete_assignment(spec)
-    else:
-        raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-    assigned = assignment.apply(spec) if len(assignment) else spec
-    return assigned, assignment
 
 
 def validate_objective(objective: str) -> None:
@@ -190,17 +157,15 @@ class CompleteDcStage:
 
     Not part of :data:`~repro.pipeline.pipeline.DEFAULT_STAGES` — enable
     it by listing ``complete_dc`` between ``optimize`` and ``map`` in a
-    pipeline config (or ``repro pipeline run --complete-dc``).  Per node
-    it proposes DC candidates from random simulation, confirms them
-    exactly with shared-solver SAT queries (one-hot batches of 16
-    candidates per incremental ``solve()``), applies the ``dc_policy`` assignment and rebuilds the cover; nodes
-    exhausting the query or conflict budget fall back to the
-    window-limited extractor.  With
-    ``dc_jobs`` > 1 independent nodes are confirmed in parallel on the
-    warm worker pool — results stay bit-identical to serial.  Primary
-    outputs are verified unchanged (packed compare per rewrite plus a
-    final SAT miter), so every downstream artefact stays functionally
-    identical and the stage can be toggled without invalidating results.
+    pipeline config (or ``repro pipeline run --complete-dc``); leaving
+    it out is the off switch.  Per node it proposes DC candidates from
+    ``dc_vectors`` random simulation vectors, confirms them exactly with
+    shared-solver SAT queries, applies the ``dc_policy`` assignment and
+    rebuilds the cover; nodes exhausting the SAT budgets fall back to
+    the window extractor ``dc_window`` levels deep.  With ``dc_jobs`` >
+    1 independent nodes are confirmed in parallel on the warm worker
+    pool, bit-identical to serial.  Primary outputs are verified
+    unchanged (packed compare per rewrite plus a final SAT miter).
 
     Emits ``sat.*`` / ``complete_dc.*`` counters (queries,
     confirmations, refutations, fallbacks, per-stage DC deltas against
@@ -210,47 +175,23 @@ class CompleteDcStage:
     name = "complete_dc"
     inputs = ("network",)
     outputs = ("network", "complete_dc_report")
-    params = (
-        "complete_dc",
-        "dc_policy",
-        "dc_threshold",
-        "dc_fraction",
-        "dc_max_fanins",
-        "dc_vectors",
-        "dc_query_budget",
-        "dc_conflict_budget",
-        "dc_window",
-        "dc_seed",
-    )
+    params = ("dc_policy", "dc_vectors", "dc_window")
     # dc_jobs is read but deliberately NOT declared above: it is an
     # execution knob whose results are bit-identical to the serial run,
     # so it must not change the checkpoint fingerprint (a jobs=4 resume
     # reuses a jobs=1 checkpoint).
-    version = "1"
+    version = "2"
 
     def run(self, ctx: FlowContext) -> None:
-        from ..synth.flexibility import CompleteDcReport, reassign_complete_dcs
+        from ..synth.flexibility import reassign_complete_dcs
 
         network = ctx.require("network")
-        if not ctx.param("complete_dc", True):
-            ctx.set("network", network)
-            ctx.set(
-                "complete_dc_report",
-                CompleteDcReport(0, 0, 0, 0, 0, 0, 0, float("nan"), float("nan")),
-            )
-            return
         with span("pipeline.complete_dc", nodes=len(network.nodes)):
             report = reassign_complete_dcs(
                 network,
                 policy=ctx.param("dc_policy", "cfactor"),
-                threshold=ctx.param("dc_threshold", DEFAULT_THRESHOLD),
-                fraction=ctx.param("dc_fraction", 1.0),
-                max_fanins=ctx.param("dc_max_fanins", 10),
                 simulation_vectors=ctx.param("dc_vectors", 256),
-                query_budget=ctx.param("dc_query_budget", 256),
-                conflict_budget=ctx.param("dc_conflict_budget", 10_000),
                 window_levels=ctx.param("dc_window", 2),
-                rng=np.random.default_rng(ctx.param("dc_seed", 0)),
                 jobs=ctx.param("dc_jobs", 1),
             )
         ctx.set("network", network)

@@ -65,20 +65,20 @@ from time import perf_counter
 
 import numpy as np
 
-from ..core.assignment import Assignment
-from ..core.cfactor import DEFAULT_THRESHOLD, cfactor_assignment
-from ..core.ranking import complete_assignment, ranking_assignment
+from ..core.cfactor import DEFAULT_THRESHOLD
+from ..core.policy import POLICIES, apply_policy
 from ..core.spec import FunctionSpec
 from ..core.truthtable import DC, OFF, ON
 from ..espresso.cube import Cover
 from ..espresso.minimize import espresso
+from ..faults.stuckat import NodeFlip
 from ..obs import metrics as obs_metrics
 from ..obs import span
 from ..sat.encode import CnfBuilder, networks_equivalent
 from ..sim import packed as pk
 from ..sim.incremental import IncrementalNetworkSim
 from .network import LogicNetwork
-from .odc import MAX_EXHAUSTIVE_FANINS, internal_error_rate, node_flexibility
+from .odc import MAX_EXHAUSTIVE_FANINS, node_flexibility
 
 __all__ = [
     "node_flexibility_sat",
@@ -793,11 +793,10 @@ def reassign_complete_dcs(
 
     Args:
         network: network to rewrite (mutated).
-        policy: any of the evaluation's four assignment policies —
-            ``"cfactor"`` (Fig. 7), ``"ranking"`` (Fig. 3),
-            ``"complete"`` (assign every confirmed DC), or
-            ``"conventional"`` (assign none; ESPRESSO exploits the
-            confirmed flexibility freely).
+        policy: one of :data:`~repro.core.policy.POLICIES`, applied to
+            each node's confirmed flexibility by
+            :func:`~repro.core.policy.apply_policy` (``"conventional"``
+            assigns none; ESPRESSO exploits the flexibility freely).
         threshold: LC^f threshold for the cfactor policy.
         fraction: fraction of the ranked list for the ranking policy.
         max_fanins: skip (with ``complete_dc.wide_nodes_skipped``) nodes
@@ -815,7 +814,7 @@ def reassign_complete_dcs(
         ValueError: on unknown policies, or if a rewrite changes the
             primary outputs (which would indicate an ODC or solver bug).
     """
-    if policy not in ("conventional", "ranking", "cfactor", "complete"):
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     from ..perf.pool import get_pool, pool_enabled
 
@@ -828,7 +827,7 @@ def reassign_complete_dcs(
     else:
         pristine = copy.deepcopy(network)
     before = (
-        internal_error_rate(network, sim=full_sim)
+        NodeFlip().network_error_rate(network, sim=full_sim)
         if full_sim is not None
         else float("nan")
     )
@@ -945,16 +944,8 @@ def reassign_complete_dcs(
                     )
                 if not local_dcs:
                     continue
-                if policy == "cfactor":
-                    assignment = cfactor_assignment(local, threshold)
-                elif policy == "ranking":
-                    assignment = ranking_assignment(local, fraction)
-                elif policy == "complete":
-                    assignment = complete_assignment(local)
-                else:  # conventional: leave the DCs to ESPRESSO
-                    assignment = Assignment()
-                assigned = (
-                    assignment.apply(local) if len(assignment) else local
+                assigned, assignment = apply_policy(
+                    local, policy, threshold=threshold, fraction=fraction
                 )
                 on_cover = Cover.from_minterms(
                     len(node.fanins), assigned.on_set(0)
@@ -987,7 +978,7 @@ def reassign_complete_dcs(
                 "(SAT miter check)"
             )
         after = (
-            internal_error_rate(network, sim=full_sim)
+            NodeFlip().network_error_rate(network, sim=full_sim)
             if full_sim is not None
             else float("nan")
         )

@@ -10,11 +10,11 @@ multi-level network has *internal* flexibility:
 The paper's nodal-decomposition extension extracts these per-node DC sets
 and runs the same reliability-driven assignment on them, increasing the
 rate at which errors *inside* the circuit are logically masked.  This
-module implements the extraction (exhaustive and exact over the PI space),
-the reassignment loop, and the internal-error-rate metric used to evaluate
-it.
+module implements the extraction (exhaustive and exact over the PI space)
+and the reassignment loop; the internal error rate that evaluates it is
+the :class:`~repro.faults.NodeFlip` fault model's network sweep.
 
-All three run on the packed simulation engine (:mod:`repro.sim`): the
+Both run on the packed simulation engine (:mod:`repro.sim`): the
 network is simulated once into 64-vectors-per-word signals, each node
 flip re-evaluates only the flipped node's fanout cone
 (:class:`~repro.sim.incremental.IncrementalNetworkSim`), and pattern
@@ -32,13 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.assignment import Assignment
-from ..core.cfactor import DEFAULT_THRESHOLD, cfactor_assignment
-from ..core.ranking import complete_assignment, ranking_assignment
+from ..core.cfactor import DEFAULT_THRESHOLD
+from ..core.policy import POLICIES, apply_policy
 from ..core.spec import FunctionSpec
 from ..core.truthtable import DC, OFF, ON
 from ..espresso.cube import Cover
 from ..espresso.minimize import espresso
+from ..faults.stuckat import NodeFlip
 from ..obs import metrics as obs_metrics
 from ..obs import span
 from ..sim import packed as pk
@@ -49,7 +49,6 @@ from .network import LogicNetwork
 __all__ = [
     "MAX_EXHAUSTIVE_FANINS",
     "node_flexibility",
-    "internal_error_rate",
     "reassign_internal_dcs",
     "NodalReport",
 ]
@@ -136,8 +135,6 @@ def node_flexibility(
     network: LogicNetwork,
     node_name: str,
     *,
-    values: dict[str, np.ndarray] | None = None,
-    external_dc: np.ndarray | None = None,
     sim: IncrementalNetworkSim | None = None,
     window_levels: int | None = None,
 ) -> FunctionSpec:
@@ -145,17 +142,11 @@ def node_flexibility(
 
     A fanin pattern is DC when it is unreachable (SDC) or when every PI
     vector producing it is observability-don't-care — flipping the node
-    under those vectors changes no primary output (or only outputs that
-    are externally DC for that vector, when *external_dc* is given).
+    under those vectors changes no primary output.
 
     Args:
         network: the network.
         node_name: node to analyse.
-        values: pre-computed boolean signal tables (optional; adopted
-            into a packed simulator for reuse).
-        external_dc: boolean array (num_outputs, 2**num_PIs) marking
-            externally-DC (output, vector) entries that never matter.
-            Ignored in window mode (conservative).
         sim: a live :class:`IncrementalNetworkSim` for the network
             (optional, for reuse across nodes — the cheap path).
         window_levels: when given, judge observability at the boundary
@@ -174,11 +165,7 @@ def node_flexibility(
             *window_levels* is given but < 1.
     """
     if sim is None:
-        sim = (
-            IncrementalNetworkSim.from_bool_values(network, values)
-            if values is not None
-            else IncrementalNetworkSim(network)
-        )
+        sim = IncrementalNetworkSim(network)
     node = network.nodes[node_name]
     k = len(node.fanins)
     if k > MAX_EXHAUSTIVE_FANINS:
@@ -192,10 +179,7 @@ def node_flexibility(
     if window_levels is not None:
         observable = _window_observability(network, node_name, sim, window_levels)
     else:
-        diff = sim.output_words() ^ sim.flip_outputs(node_name)
-        if external_dc is not None:
-            diff &= ~pk.pack_matrix(np.asarray(external_dc, dtype=bool).T)
-        observable = np.bitwise_or.reduce(diff, axis=0)
+        observable = sim.flip_difference(node_name)
 
     masks = pk.pattern_masks([sim.values[f] for f in node.fanins], num_vectors)
     cares = np.any(masks & observable, axis=1)
@@ -210,67 +194,6 @@ def node_flexibility(
         input_names=tuple(node.fanins),
         output_names=(node_name,),
     )
-
-
-def internal_error_rate(
-    network: LogicNetwork,
-    *,
-    source_mask: np.ndarray | None = None,
-    sim: IncrementalNetworkSim | None = None,
-    fault_model=None,
-) -> float:
-    """Probability that a random internal-node fault propagates.
-
-    Averages, over all internal nodes and admissible PI vectors, the
-    indicator that injecting the fault on the node changes at least one
-    primary output.  The default fault is the paper-era complement
-    (node flip); any node-scope :class:`~repro.faults.FaultModel` —
-    e.g. ``StuckAtNode`` — can be injected instead.  This is the
-    circuit-internal analogue of the paper's input-error rate and the
-    metric the nodal-decomposition extension improves.
-
-    Args:
-        network: the network under test.
-        source_mask: admissible PI vectors (default: all).
-        sim: a live :class:`IncrementalNetworkSim` to reuse (optional).
-        fault_model: node-scope fault model or declarative spec
-            (default: the node flip).
-    """
-    node_names = list(network.nodes)
-    if not node_names:
-        return 0.0
-    if fault_model is not None:
-        from ..faults import create_fault_model
-
-        fault_model = create_fault_model(fault_model)
-        if fault_model.scope != "node":
-            raise ValueError(
-                f"fault model {fault_model.name!r} has scope "
-                f"{fault_model.scope!r}; the internal error rate needs a "
-                f"node-scope model"
-            )
-    if sim is None:
-        sim = IncrementalNetworkSim(network)
-    base = sim.output_words()
-    if source_mask is None:
-        source_words = None
-        admissible = sim.num_vectors
-    else:
-        source_words = pk.pack_bool(np.asarray(source_mask, dtype=bool))
-        admissible = pk.popcount(source_words)
-    total = 0
-    with span("odc.internal_error_rate", nodes=len(node_names)):
-        for name in node_names:
-            if fault_model is None:
-                diff = np.bitwise_or.reduce(
-                    base ^ sim.flip_outputs(name), axis=0
-                )
-            else:
-                diff = fault_model.node_difference(sim, name)
-            if source_words is not None:
-                diff = diff & source_words
-            total += pk.popcount(diff)
-    return total / (len(node_names) * max(1, admissible))
 
 
 @dataclass(frozen=True)
@@ -296,7 +219,6 @@ def reassign_internal_dcs(
     threshold: float = DEFAULT_THRESHOLD,
     fraction: float = 1.0,
     max_fanins: int = 10,
-    fault_model=None,
 ) -> NodalReport:
     """Reassign every node's internal DCs for reliability (in place).
 
@@ -309,33 +231,31 @@ def reassign_internal_dcs(
 
     One packed simulator is shared across the whole pass: flexibility
     extraction, the per-rewrite output self-check, and both error-rate
-    measurements reuse its signal values, and every rewrite refreshes
-    only the rewritten node's cone.
+    measurements (:meth:`NodeFlip.network_error_rate
+    <repro.faults.NodeFlip.network_error_rate>`) reuse its signal
+    values, and every rewrite refreshes only the rewritten node's cone.
 
     Args:
         network: network to rewrite (mutated).
-        policy: ``"cfactor"`` (Fig. 7), ``"ranking"`` (Fig. 3),
-            ``"complete"`` (assign every DC for masking), or
-            ``"conventional"`` (leave the DCs to ESPRESSO).
+        policy: one of :data:`~repro.core.policy.POLICIES`, applied to
+            each node's local function by
+            :func:`~repro.core.policy.apply_policy`.
         threshold: LC^f threshold for the cfactor policy.
         fraction: fraction of the ranked list for the ranking policy.
         max_fanins: fanin budget for the exhaustive extractor; wider
             nodes are left untouched and counted in
             ``odc.wide_nodes_skipped``.
-        fault_model: node-scope fault model (or declarative spec) used
-            for the report's before/after error rates (default: the
-            node flip, the historical metric).
 
     Raises:
         ValueError: on unknown policies, or if a rewrite changes the
             primary outputs (which would indicate an ODC bug).
     """
-    if policy not in ("conventional", "ranking", "cfactor", "complete"):
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     with span("odc.reassign", nodes=len(network.nodes), policy=policy):
         sim = IncrementalNetworkSim(network)
         reference = sim.output_words().copy()
-        before = internal_error_rate(network, sim=sim, fault_model=fault_model)
+        before = NodeFlip().network_error_rate(network, sim=sim)
         changed = 0
         assigned_total = 0
         for name in list(network.topological_order()):
@@ -346,15 +266,9 @@ def reassign_internal_dcs(
             local = node_flexibility(network, name, sim=sim)
             if not int(np.count_nonzero(local.phases == DC)):
                 continue
-            if policy == "cfactor":
-                assignment = cfactor_assignment(local, threshold)
-            elif policy == "ranking":
-                assignment = ranking_assignment(local, fraction)
-            elif policy == "complete":
-                assignment = complete_assignment(local)
-            else:  # conventional: leave the DCs to ESPRESSO
-                assignment = Assignment()
-            assigned = assignment.apply(local) if len(assignment) else local
+            assigned, assignment = apply_policy(
+                local, policy, threshold=threshold, fraction=fraction
+            )
             on_cover = Cover.from_minterms(len(node.fanins), assigned.on_set(0))
             dc_cover = Cover.from_minterms(len(node.fanins), assigned.dc_set(0))
             node.cover = espresso(on_cover, dc_cover)
@@ -365,5 +279,5 @@ def reassign_internal_dcs(
                 raise ValueError(
                     f"rewriting node {name!r} changed the primary outputs"
                 )
-        after = internal_error_rate(network, sim=sim, fault_model=fault_model)
+        after = NodeFlip().network_error_rate(network, sim=sim)
     return NodalReport(changed, assigned_total, before, after)

@@ -75,3 +75,25 @@ class TestMonteCarloBitIdentity:
             rng=np.random.default_rng(17), fault_model=SingleBitInput(),
         )
         assert via_model == legacy  # rate, stderr and samples all equal
+
+    def test_seeded_estimate_is_pinned(self):
+        """The default draw's RNG consumption must never change: this is
+        the estimate the historical inline single-bit draw produced."""
+        spec = generate_spec(
+            "mcid", 6, 2, target_cf=0.6, dc_fraction=0.0, seed=3
+        )
+        tables = spec.truth_values()
+
+        def evaluate(vectors):
+            indices = np.zeros(vectors.shape[0], dtype=np.int64)
+            for j in range(spec.num_inputs):
+                indices |= vectors[:, j].astype(np.int64) << j
+            return tables[:, indices]
+
+        estimate = estimate_error_rate(
+            evaluate, spec.num_inputs, samples=5000,
+            rng=np.random.default_rng(17),
+        )
+        assert (estimate.rate, estimate.stderr, estimate.samples) == (
+            0.3995, 0.006926756095027456, 5000
+        )

@@ -6,7 +6,7 @@ import pytest
 from repro.espresso.minimize import minimize_spec
 from repro.faults import NodeFlip, StuckAtNode
 from repro.synth.network import LogicNetwork
-from repro.synth.odc import internal_error_rate
+from repro.synth.odc import _evaluate_with_flip
 from repro.synth.optimize import optimize_network
 
 from ..core.conftest import random_spec
@@ -84,13 +84,15 @@ class TestStuckAt:
 
 class TestNodeFlip:
     def test_matches_internal_error_rate(self, network):
-        assert NodeFlip().network_error_rate(network) == internal_error_rate(
-            network
-        )
-
-    def test_internal_error_rate_accepts_the_model(self, network):
-        via_kwarg = internal_error_rate(network, fault_model="stuck_at")
-        assert via_kwarg == StuckAtNode(0).network_error_rate(network)
+        """The packed sweep equals the boolean full-walk flip reference."""
+        values = network.evaluate_reference()
+        base = np.vstack([values[sig] for sig in network.outputs.values()])
+        total = 0
+        for name in network.nodes:
+            flipped = _evaluate_with_flip(network, values, name)
+            total += int(np.count_nonzero(np.any(base != flipped, axis=0)))
+        expected = total / (len(network.nodes) * base.shape[1])
+        assert NodeFlip().network_error_rate(network) == pytest.approx(expected)
 
 
 class TestMonteCarloAgreement:

@@ -1,6 +1,8 @@
 """Tests for the fault-model registry and declarative resolution."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     MultiBitInput,
@@ -63,3 +65,31 @@ class TestListing:
         assert by_name["stuck_at"]["scope"] == "node"
         assert by_name["multibit"]["params"] == ["k"]
         assert all(entry["summary"] for entry in listing)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+_specs = st.fixed_dictionaries(
+    {"model": st.sampled_from(fault_model_names()) | st.text(max_size=8)},
+    optional={"k": _json, "width": _json, "value": _json},
+) | st.dictionaries(st.text(max_size=8), _json, max_size=3)
+
+
+class TestSpecFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_specs)
+    def test_only_value_errors_naming_the_model(self, spec):
+        try:
+            create_fault_model(spec)
+        except ValueError as error:
+            name = spec.get("model")
+            if isinstance(name, str):
+                assert repr(name) in str(error)
+
+    def test_bad_parameter_value_names_the_model(self):
+        with pytest.raises(ValueError, match="'multibit'.*invalid literal"):
+            create_fault_model({"model": "multibit", "k": "x"})

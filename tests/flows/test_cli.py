@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cli import main
+from repro.cli import _check_config_params, main
 from repro.core.spec import FunctionSpec
 from repro.core.truthtable import DC, OFF, ON
+from repro.faults import fault_model_names
+from repro.pipeline import registered_stages, stage_names
 from repro.pla import read_pla, write_pla
 
 
@@ -258,6 +262,24 @@ class TestCliPipeline:
         ('{"params": {"dc_window": 0}, "stages": ["assign", "espresso", '
          '"optimize", "complete_dc", "map", "tune", "measure"]}',
          "dc_window must be an integer >= 1, got 0"),
+        ('{"stages": "assign"}', "'stages' must be a list"),
+        ('{"stages": [{"stage": "assign", "params": 5}, "espresso", '
+         '"optimize", "map", "tune", "measure"]}',
+         "params of stage 'assign' must be an object"),
+        ('{"params": {"policy": "ranking", "fraction": "half"}, "stages": '
+         '["assign", "espresso", "optimize", "map", "tune", "measure"]}',
+         "fraction must be a number in [0, 1], got 'half'"),
+        ('{"params": {"objective": "speed"}, "stages": ["assign", '
+         '"espresso", "optimize", "map", "tune", "measure"]}',
+         "objective must be one of"),
+        ('{"params": {"dc_polcy": "bogus"}, "stages": ["assign", '
+         '"espresso", "optimize", "complete_dc", "map", "tune", "measure"]}',
+         "unknown parameter 'dc_polcy'"),
+        ('{"params": {"dc_seed": 1}, "stages": ["assign", "espresso", '
+         '"optimize", "complete_dc", "map", "tune", "measure"]}',
+         "unknown parameter 'dc_seed'"),
+        ('{"stages": ["map", "tune", "measure"]}',
+         "stage 'map' is missing inputs"),
     ])
     def test_run_bad_config_is_one_line(self, pla_file, tmp_path, text, message):
         path = tmp_path / "flow.json"
@@ -332,3 +354,51 @@ class TestCliExtensions:
                      "--verilog", out_v]) == 0
         text = open(out_v).read()
         assert "module" in text and "endmodule" in text
+
+
+# JSON-shaped values, the only kind a config file can hold.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+_param_names = st.sampled_from(sorted(
+    {"dc_jobs", "dc_seed", "bogus"}
+    | {p for stage in registered_stages().values() for p in stage.params}
+))
+_param_values = _json | st.sampled_from(
+    ["cfactor", "delay", "single_bit", "stuck_at", 0.5, 2, 0]
+) | st.fixed_dictionaries(
+    {"model": st.sampled_from(fault_model_names()) | st.text(max_size=8)},
+    optional={"k": _json, "width": _json, "value": _json},
+)
+_params = st.dictionaries(_param_names | st.text(max_size=8), _param_values,
+                          max_size=4)
+_valid_entries = st.sampled_from(stage_names()) | st.fixed_dictionaries(
+    {"stage": st.sampled_from(stage_names())},
+    optional={"params": _params | _json},
+)
+_stage_lists = (
+    st.lists(_valid_entries, min_size=1, max_size=4)
+    | st.lists(_valid_entries | st.text(max_size=8) | _json, max_size=4)
+    | _json
+)
+_configs = st.fixed_dictionaries(
+    {"stages": st.lists(_valid_entries, min_size=1, max_size=4)},
+    optional={"name": _json, "params": _params | _json},
+) | st.fixed_dictionaries({}, optional={
+    "name": _json, "params": _params | _json, "stages": _stage_lists,
+})
+
+
+class TestConfigCheckFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(config=_configs)
+    def test_only_typed_errors(self, config):
+        """Any config either passes the check or fails with the two error
+        types ``repro pipeline run`` turns into one line."""
+        try:
+            _check_config_params(config, 6)
+        except (ValueError, KeyError):
+            pass

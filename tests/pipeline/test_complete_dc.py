@@ -1,12 +1,10 @@
 """Tests for the opt-in ``complete_dc`` pipeline stage.
 
 The stage's contract: it is absent from the default recipe, it never
-changes the network's primary outputs when enabled, it is bit-identical
-to not running it when disabled via the ``complete_dc`` flow parameter,
-and its report artefact survives checkpoint round-trips.
+changes the network's primary outputs when enabled, leaving it out
+leaves the optimised network untouched and no report behind, and its
+report artefact survives checkpoint round-trips.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -33,6 +31,11 @@ class TestRegistration:
         assert stage.inputs == ("network",)
         assert stage.outputs == ("network", "complete_dc_report")
         assert "complete_dc" not in DEFAULT_STAGES
+
+    def test_declares_only_the_user_knobs(self):
+        assert get_stage("complete_dc").params == (
+            "dc_policy", "dc_vectors", "dc_window"
+        )
 
     def test_describe_lists_params(self):
         pipe = Pipeline(_stages_with_complete_dc())
@@ -73,38 +76,28 @@ class TestPrimaryOutputsPreserved:
         )
 
 
-class TestDisabled:
-    def test_param_disables_to_zeroed_report(self, spec):
-        config = dict(
-            default_config("cfactor", objective="area"),
-            stages=_stages_with_complete_dc(),
-        )
-        config["params"] = dict(config["params"], complete_dc=False)
-        ctx = Pipeline.from_config(config).run(spec=spec)
-        report = ctx.require("complete_dc_report")
-        assert report.nodes_considered == 0
-        assert report.nodes_changed == 0
-        assert math.isnan(report.error_rate_before)
+class TestAbsent:
+    """Leaving the stage out of the pipeline is its off switch."""
 
-    def test_disabled_matches_pipeline_without_stage(self, spec):
+    def test_absent_stage_leaves_no_report(self, spec):
+        ctx = Pipeline.from_config(
+            default_config("cfactor", objective="area")
+        ).run(spec=spec)
+        assert "complete_dc_report" not in ctx
+        assert "synthesis" in ctx
+
+    def test_absent_stage_maps_the_optimized_network(self, spec):
         config = default_config("ranking", fraction=0.5, objective="area")
         without = Pipeline.from_config(config).run(spec=spec)
 
-        disabled = dict(config, stages=_stages_with_complete_dc())
-        disabled["params"] = dict(disabled["params"], complete_dc=False)
-        with_disabled = Pipeline.from_config(disabled).run(spec=spec)
+        with_stage = dict(config, stages=_stages_with_complete_dc())
+        optimized = Pipeline.from_config(with_stage).run(
+            spec=spec, stop_after="optimize"
+        )
 
-        assert (
-            with_disabled.require("synthesis").area
-            == without.require("synthesis").area
-        )
-        assert np.array_equal(
-            with_disabled.require("implemented").phases,
-            without.require("implemented").phases,
-        )
-        # The node covers themselves are untouched, not just the POs.
+        # The node covers map untouched, not just the POs.
         left = without.require("network")
-        right = with_disabled.require("network")
+        right = optimized.require("network")
         assert list(left.nodes) == list(right.nodes)
         for name in left.nodes:
             assert np.array_equal(

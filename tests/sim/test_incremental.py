@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.espresso.cube import Cover
+from repro.faults import NodeFlip
 from repro.sim import packed as pk
 from repro.sim.incremental import IncrementalNetworkSim
 from repro.synth.network import LogicNetwork
 from repro.synth.odc import (
     _evaluate_with_flip,
-    internal_error_rate,
     node_flexibility,
 )
 from repro.synth.optimize import optimize_network
@@ -65,16 +65,6 @@ class TestFlipOutputs:
             )
             np.testing.assert_array_equal(sim.flip_difference(name), expected)
 
-    def test_from_bool_values_matches_fresh(self):
-        net = random_multilevel_network(5)
-        adopted = IncrementalNetworkSim.from_bool_values(net, net.evaluate_reference())
-        fresh = IncrementalNetworkSim(net)
-        for name in fresh.values:
-            np.testing.assert_array_equal(adopted.values[name], fresh.values[name])
-        np.testing.assert_array_equal(
-            adopted.flip_outputs("t1"), fresh.flip_outputs("t1")
-        )
-
 
 class TestRecompute:
     def test_matches_fresh_simulation_after_rewrite(self):
@@ -115,7 +105,7 @@ class TestOdcConsistency:
             flipped = _evaluate_with_flip(net, values, name)
             total += int(np.count_nonzero(np.any(base != flipped, axis=0)))
         expected = total / (len(net.nodes) * base.shape[1])
-        assert internal_error_rate(net) == pytest.approx(expected)
+        assert NodeFlip().network_error_rate(net) == pytest.approx(expected)
 
 
 class TestStructureCaches:

@@ -6,11 +6,11 @@ import pytest
 from repro.core.spec import FunctionSpec
 from repro.core.truthtable import DC, OFF, ON
 from repro.espresso.cube import Cover
+from repro.faults import NodeFlip
 from repro.synth.network import LogicNetwork
 from repro.obs import metrics as obs_metrics
 from repro.synth.odc import (
     MAX_EXHAUSTIVE_FANINS,
-    internal_error_rate,
     node_flexibility,
     reassign_internal_dcs,
 )
@@ -61,14 +61,6 @@ class TestNodeFlexibility:
         # y is a PO: every reachable pattern is observable.
         assert local.phases[0, 3] == ON
         assert local.phases[0, 0] == OFF
-
-    def test_external_dc_extends_flexibility(self):
-        net = LogicNetwork(["a", "b"])
-        net.add_node("t", ["a", "b"], Cover.from_strings(["11"]))
-        net.set_output("out", "t")
-        external = np.ones((1, 4), dtype=bool)  # everything externally DC
-        local = node_flexibility(net, "t", external_dc=external)
-        assert list(local.dc_set(0)) == [0, 1, 2, 3]
 
 
 class TestFaninGuard:
@@ -177,18 +169,18 @@ class TestInternalErrorRate:
         net.add_node("t1", ["a"], Cover.from_strings(["1"]))
         net.add_node("t2", ["t1"], Cover.from_strings(["1"]))
         net.set_output("out", "t2")
-        assert internal_error_rate(net) == pytest.approx(1.0)
+        assert NodeFlip().network_error_rate(net) == pytest.approx(1.0)
 
     def test_masking_reduces_rate(self):
         net = blocked_network()
         # Flips on t are masked when c=0 (half the vectors).
-        rate = internal_error_rate(net)
+        rate = NodeFlip().network_error_rate(net)
         assert rate < 1.0
 
     def test_source_mask(self):
         net = blocked_network()
         only_c1 = np.array([False, False, False, False, True, True, True, True])
-        rate = internal_error_rate(net, source_mask=only_c1)
+        rate = NodeFlip().network_error_rate(net, source_mask=only_c1)
         # With c=1 everywhere, t is always observable; y always observable.
         assert rate == pytest.approx(1.0)
 
