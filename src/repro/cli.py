@@ -112,6 +112,18 @@ def _cut_width(value: str) -> int:
     return _int_at_least(value, 2)
 
 
+def _unit_float(value: str) -> float:
+    """``--fraction`` / ``--threshold``: the config rule for these params."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    accepts, expected = _UNIT
+    if not accepts(number):
+        raise argparse.ArgumentTypeError(f"must be {expected}, got {value}")
+    return number
+
+
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", default="1", metavar="N|auto",
@@ -482,6 +494,12 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
             }
         pipe = Pipeline.from_config(config, checkpoint=checkpoint)
         pipe.validate(["spec"])
+        names = [stage.name for stage in pipe.stages]
+        if args.stop_after is not None and args.stop_after not in names:
+            raise ValueError(
+                f"--stop-after {args.stop_after!r} is not a stage of this "
+                f"pipeline; stages: {names}"
+            )
     except (ValueError, KeyError) as error:
         raise SystemExit(f"pipeline: {error.args[0]}") from None
     ran_before = obs_metrics.counter("pipeline.stages_run").value
@@ -913,9 +931,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_policy_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--policy", default="conventional",
                        choices=["conventional", "ranking", "cfactor", "complete"])
-        p.add_argument("--fraction", type=float, default=1.0,
+        p.add_argument("--fraction", type=_unit_float, default=1.0,
                        help="ranking fraction (policy=ranking)")
-        p.add_argument("--threshold", type=float, default=0.55,
+        p.add_argument("--threshold", type=_unit_float, default=0.55,
                        help="LC^f threshold (policy=cfactor)")
 
     p_info = add_parser("info", help="benchmark properties")

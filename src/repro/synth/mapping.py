@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..obs import metrics as obs_metrics
 from .library import Cell, Library
 from .netlist import GateInstance, MappedNetlist
 from .subject import SubjectGraph
@@ -144,10 +145,12 @@ def map_graph(
             return 0.0
         return choices[ref].arrival
 
+    covered = 0
     for ref in graph.topological_order():
         node = graph.nodes[ref]
         if node.kind not in ("inv", "nand"):
             continue
+        covered += 1
         best: _Choice | None = None
         for cell, binding in find_matches(graph, ref, library, roots):
             leaves = [binding[pin] for pin in cell.pins]
@@ -166,6 +169,7 @@ def map_graph(
         if best is None:
             raise ValueError(f"vertex {ref} has no match in the library")
         choices[ref] = best
+    obs_metrics.counter("map.matches_tried").inc(covered * len(library.cells))
 
     netlist = MappedNetlist(library, [n.label for n in graph.nodes if n.kind == "pi"])
     emitted: dict[int, str] = {}

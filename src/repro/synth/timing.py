@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..obs import metrics as obs_metrics
 from .netlist import GateInstance, MappedNetlist
 
 __all__ = ["TimingReport", "static_timing", "upsize_critical"]
@@ -77,7 +78,9 @@ def upsize_critical(netlist: MappedNetlist, *, max_rounds: int = 10) -> MappedNe
     """
     library = netlist.library
     drivers = netlist.driver_of()
+    rounds = resized = 0
     for _ in range(max_rounds):
+        rounds += 1
         report = static_timing(netlist)
         best_delay = report.delay
         best_swap: tuple[GateInstance, object] | None = None
@@ -96,7 +99,10 @@ def upsize_critical(netlist: MappedNetlist, *, max_rounds: int = 10) -> MappedNe
                     best_swap = (gate, variant)
                 gate.cell = original
         if best_swap is None:
-            return netlist
+            break
         gate, variant = best_swap
         gate.cell = variant  # type: ignore[assignment]
+        resized += 1
+    obs_metrics.counter("tune.rounds").inc(rounds)
+    obs_metrics.counter("tune.cells_resized").inc(resized)
     return netlist

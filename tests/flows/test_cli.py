@@ -100,6 +100,23 @@ class TestCli:
         assert "--points: must be at least 2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flags", [
+        (["synth"], ["--policy", "ranking", "--fraction", "2"]),
+        (["assign"], ["--policy", "cfactor", "--threshold", "3"]),
+        (["synth"], ["--fraction", "nan"]),
+        (["assign"], ["--threshold", "-0.1"]),
+        (["pipeline", "run"], ["--fraction", "1.5"]),
+    ])
+    def test_policy_knob_outside_unit_interval_is_usage_error(
+        self, pla_file, command, flags, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + [pla_file] + flags)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flags[-2]}:" in err
+        assert "Traceback" not in err
+
     def test_gen(self, tmp_path, capsys):
         out_path = str(tmp_path / "gen.pla")
         assert main([
@@ -288,6 +305,13 @@ class TestCliPipeline:
             main(["pipeline", "run", pla_file, "--config", str(path)])
         assert str(excinfo.value.code).startswith("pipeline: ")
         assert message in str(excinfo.value.code)
+        assert "\n" not in str(excinfo.value.code)
+
+    def test_run_unknown_stop_after_is_one_line(self, pla_file):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pipeline", "run", pla_file, "--stop-after", "nosuch"])
+        assert str(excinfo.value.code).startswith("pipeline: ")
+        assert "'nosuch' is not a stage" in str(excinfo.value.code)
         assert "\n" not in str(excinfo.value.code)
 
     def test_run_complete_dc_flag(self, pla_file, capsys):

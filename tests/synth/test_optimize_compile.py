@@ -70,6 +70,40 @@ class TestKernelExtraction:
         assert net.to_spec() == before
 
 
+class TestStageCounters:
+    def _flow_counters(self, spec):
+        from repro.obs import metrics as obs_metrics
+
+        with obs_metrics.delta_capture(keep_zero=True) as delta:
+            result = compile_spec(spec, objective="delay")
+        values = {
+            name: data["value"]
+            for name, data in delta.items()
+            if name.split(".")[0] in ("optimize", "map", "tune")
+        }
+        return values, result
+
+    def test_counters_published_and_repeatable(self):
+        spec = FunctionSpec.from_sets(
+            5, on_sets=[[1, 3, 5, 7, 9, 11, 27, 31], [3, 7, 11, 15, 19, 23, 27]],
+            dc_sets=[[0, 2], [4]],
+        )
+        first, result = self._flow_counters(spec)
+        second, _ = self._flow_counters(spec)
+        assert first == second
+        assert set(first) == {
+            "optimize.kernel_extractions", "optimize.cube_extractions",
+            "optimize.kernel_candidates", "optimize.divisions",
+            "optimize.kernel_memo_hits", "optimize.literals_in",
+            "optimize.literals_out", "map.matches_tried", "tune.rounds",
+            "tune.cells_resized",
+        }
+        assert first["optimize.literals_out"] == result.literals
+        assert first["optimize.literals_out"] <= first["optimize.literals_in"]
+        assert first["map.matches_tried"] > 0
+        assert first["tune.rounds"] == first["tune.cells_resized"] + 1
+
+
 class TestCompile:
     def test_compile_simple_spec(self):
         spec = FunctionSpec.from_sets(4, on_sets=[[0, 1, 2, 3, 15]], dc_sets=[[7, 11]])
